@@ -6,13 +6,7 @@ independent brute-force master-equation integrator, plus a CSV-emitting
 scenario runner.
 """
 
-from .cli import CATALOG, COLUMNS, Curve, Scenario, TimeSeries, emit_csv, run_scenario
-from .entanglement import (
-    ProjectedBlock,
-    block_concurrence,
-    concurrence_lower_bound,
-    project_block,
-)
+from .entanglement import concurrence_lower_bound
 from .evolution import (
     SpectralDecomposition,
     asymptotic_state,
@@ -63,6 +57,7 @@ from .revival import (
     revival_series,
     revival_times,
 )
+from .runner import CATALOG, COLUMNS, Curve, Scenario, TimeSeries, emit_csv, run_scenario
 
 __version__ = "0.1.0"
 
@@ -75,7 +70,6 @@ __all__ = [
     "EntropyReport",
     "ModelParams",
     "ParameterError",
-    "ProjectedBlock",
     "RevivalSeries",
     "Scenario",
     "SpectralDecomposition",
@@ -86,7 +80,6 @@ __all__ = [
     "asymptotic_state",
     "atomic_inversion",
     "basis_index",
-    "block_concurrence",
     "build_initial_state",
     "compare_states",
     "concurrence_lower_bound",
@@ -107,7 +100,6 @@ __all__ = [
     "poisson_pmf",
     "poisson_sum_inversion",
     "poisson_tail",
-    "project_block",
     "propagate",
     "rabi_frequency",
     "read_config",

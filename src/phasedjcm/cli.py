@@ -1,10 +1,5 @@
-"""Scenario runner and CSV emitter.
-
-Each catalog scenario bundles one figure's worth of curves; a curve is one
-parameter set swept over tau (or, for the initial state scans, over the
-mixture weight lambda).  Output is one CSV per curve
-with a fixed column set, printed with 9 significant digits and line-feed
-endings so repeated runs are byte-identical.
+"""Command line: run catalog scenarios and custom curves, write CSV files,
+and check the closed form against the brute-force integrator.
 """
 
 from __future__ import annotations
@@ -12,14 +7,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .entanglement import concurrence_lower_bound
-from .evolution import propagate, spectral_decompose
+from .evolution import propagate
 from .lindblad import compare_states, dense_from_block, integrate_path
 from .model import (
     ModelParams,
@@ -28,297 +19,7 @@ from .model import (
     params_from_mapping,
     read_config,
 )
-from .observables import entropy_report
-from .revival import poisson_sum_inversion
-
-COLUMNS = (
-    "clb",
-    "deficit",
-    "mutual",
-    "s_atom",
-    "s_rad",
-    "s_joint",
-    "rel_atom",
-    "rel_rad",
-    "inversion",
-    "inversion_asym",
-)
-
-
-@dataclass(frozen=True)
-class Curve:
-    """One parameter set inside a scenario, tagged with its file label."""
-
-    label: str
-    params: ModelParams
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A named sweep: either tau along a grid, or lambda at tau = 0."""
-
-    name: str
-    sweep: str                  # "tau" or "lambda"
-    start: float
-    stop: float
-    step: float
-    curves: tuple
-    description: str = ""
-    shows: tuple = COLUMNS      # columns the figure displays
-
-    def grid(self) -> np.ndarray:
-        if self.step <= 0:
-            raise ValueError(f"{self.name}: grid step must be positive")
-        count = int(round((self.stop - self.start) / self.step)) + 1
-        if count < 1 or self.stop < self.start:
-            raise ValueError(f"{self.name}: empty grid")
-        return self.start + self.step * np.arange(count)
-
-
-@dataclass
-class TimeSeries:
-    """Ordered records of every observable along one curve."""
-
-    scenario: str
-    label: str
-    axis_name: str
-    axis: np.ndarray
-    columns: dict
-
-
-def _series_from_states(axis, states_params, clb_formula, clb_include_n0):
-    cols = {name: np.empty(axis.size) for name in COLUMNS}
-    for idx, (state, params) in enumerate(states_params):
-        decomp = spectral_decompose(state)
-        rep = entropy_report(state, decomp)
-        cols["clb"][idx] = concurrence_lower_bound(
-            state, formula=clb_formula, include_n0=clb_include_n0
-        )
-        cols["deficit"][idx] = rep.deficit
-        cols["mutual"][idx] = rep.mutual
-        cols["s_atom"][idx] = rep.s_atom
-        cols["s_rad"][idx] = rep.s_rad
-        cols["s_joint"][idx] = rep.s_joint
-        cols["rel_atom"][idx] = rep.rel_atom
-        cols["rel_rad"][idx] = rep.rel_rad
-        cols["inversion"][idx] = rep.inversion
-    return cols
-
-
-def _run_tau_curve(scenario: Scenario, curve: Curve, grid: np.ndarray,
-                   clb_formula: str, clb_include_n0: bool,
-                   nu_max: int) -> TimeSeries:
-    params = curve.params
-    initial = build_initial_state(params)
-    # Every sample is reached in one exact step from tau = 0; no error
-    # accumulates along the grid.
-    states = ((propagate(initial, params, float(t)), params) for t in grid)
-    cols = _series_from_states(grid, states, clb_formula, clb_include_n0)
-    if params.gamma_bar == 0:
-        cols["inversion_asym"] = np.asarray(
-            poisson_sum_inversion(params, grid, nu_max=nu_max), dtype=float
-        )
-    else:
-        # The resummed inversion is undamped-only; mark it absent.
-        cols["inversion_asym"] = np.full(grid.size, math.nan)
-    return TimeSeries(scenario.name, curve.label, "tau", grid, cols)
-
-
-def _run_lambda_curve(scenario: Scenario, curve: Curve, grid: np.ndarray,
-                      clb_formula: str, clb_include_n0: bool,
-                      nu_max: int) -> TimeSeries:
-    def states():
-        for lam in grid:
-            params = replace(curve.params, lam=float(lam))
-            yield build_initial_state(params), params
-
-    cols = _series_from_states(grid, states(), clb_formula, clb_include_n0)
-    asym = np.empty(grid.size)
-    for idx, lam in enumerate(grid):
-        params = replace(curve.params, lam=float(lam))
-        if params.gamma_bar == 0:
-            asym[idx] = poisson_sum_inversion(params, 0.0, nu_max=nu_max)
-        else:
-            asym[idx] = math.nan
-    cols["inversion_asym"] = asym
-    return TimeSeries(scenario.name, curve.label, "lambda", grid, cols)
-
-
-def run_scenario(scenario: Scenario, clb_formula: str = "paper",
-                 clb_include_n0: bool = True, nu_max: int = 5,
-                 jobs: int = 1) -> list:
-    """Evaluate every curve of a scenario; returns one TimeSeries per curve.
-
-    Curves may be evaluated concurrently (``jobs`` > 1) but the returned
-    list always follows the scenario's curve order, so downstream output is
-    independent of the thread count.
-    """
-    grid = scenario.grid()
-    runner = _run_tau_curve if scenario.sweep == "tau" else _run_lambda_curve
-    if scenario.sweep not in ("tau", "lambda"):
-        raise ValueError(f"unknown sweep kind {scenario.sweep!r}")
-
-    def one(curve):
-        return runner(scenario, curve, grid, clb_formula, clb_include_n0,
-                      nu_max)
-
-    if jobs <= 1 or len(scenario.curves) <= 1:
-        return [one(curve) for curve in scenario.curves]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, scenario.curves))
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
-def emit_csv(series: TimeSeries, path) -> None:
-    """Write one curve as CSV: header plus one row per grid point."""
-    header = ",".join((series.axis_name,) + COLUMNS)
-    cols = [series.columns[name] for name in COLUMNS]
-    lines = [header]
-    for idx, x in enumerate(series.axis):
-        row = [_fmt(float(x))] + [_fmt(float(col[idx])) for col in cols]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-# --- scenario catalog --------------------------------------------------------
-
-def _label_num(value: float) -> str:
-    text = f"{value:g}".replace("-", "m").replace(".", "p")
-    return text
-
-
-def _catalog() -> dict:
-    base20 = dict(kappa_bar=1.0, gamma_bar=0.0, mean_photons=20.0,
-                  lam=0.0, p11=0.8, q11=0.5, bell_phase=math.pi / 6.0)
-    base5 = dict(base20, mean_photons=5.0)
-
-    def params(base, **kw):
-        return ModelParams(**{**base, **kw})
-
-    catalog = {}
-
-    # Initial-state concurrence scans over the mixture weight.
-    catalog["fig1a"] = Scenario(
-        name="fig1a", sweep="lambda", start=0.0, stop=1.0, step=0.01,
-        curves=tuple(
-            Curve(f"p11_{_label_num(p11)}", params(base5, mean_photons=2.0,
-                                                   p11=p11))
-            for p11 in (0.0, 0.25, 0.5, 0.75, 1.0)
-        ),
-        description="initial-state concurrence bound vs lambda, N=2, "
-                    "several ground-state weights p11",
-        shows=("clb",),
-    )
-    catalog["fig1b"] = Scenario(
-        name="fig1b", sweep="lambda", start=0.0, stop=1.0, step=0.01,
-        curves=tuple(
-            Curve(f"N{n:g}", params(base5, mean_photons=float(n), p11=1.0))
-            for n in (2, 3, 5, 20)
-        ),
-        description="initial-state concurrence bound vs lambda, p11=1, "
-                    "several mean photon numbers",
-        shows=("clb",),
-    )
-
-    # Concurrence bound vs time for three mixture weights; the inset curves
-    # repeat them with weak damping.
-    def clb_vs_tau(name, base, stop, gamma_inset):
-        curves = []
-        for lam in (0.0, 0.9, 1.0):
-            curves.append(Curve(f"lam{_label_num(lam)}", params(base, lam=lam)))
-        for lam in (0.0, 0.9, 1.0):
-            curves.append(Curve(
-                f"lam{_label_num(lam)}_g{_label_num(gamma_inset)}",
-                params(base, lam=lam, gamma_bar=gamma_inset),
-            ))
-        return Scenario(
-            name=name, sweep="tau", start=0.0, stop=stop, step=0.05,
-            curves=tuple(curves),
-            description="concurrence bound vs tau for lambda 0/0.9/1, "
-                        "with weakly damped inset variants",
-            shows=("clb",),
-        )
-
-    catalog["fig2a"] = clb_vs_tau("fig2a", base5, 30.0, 0.01)
-    catalog["fig2b"] = clb_vs_tau("fig2b", base20, 70.0, 0.01)
-
-    # Factored start: composite correlations, then marginal quantities.
-    catalog["fig3a"] = Scenario(
-        name="fig3a", sweep="tau", start=0.0, stop=70.0, step=0.05,
-        curves=(Curve("main", params(base20)),),
-        description="factored start N=20: concurrence bound, deficit, "
-                    "mutual entropy vs tau",
-        shows=("clb", "deficit", "mutual"),
-    )
-    catalog["fig3b"] = Scenario(
-        name="fig3b", sweep="tau", start=0.0, stop=70.0, step=0.05,
-        curves=(
-            Curve("g0", params(base20)),
-            Curve("g0p05", params(base20, gamma_bar=0.05)),
-        ),
-        description="factored start N=20: inversion and conditional "
-                    "entropies, undamped and damped",
-        shows=("inversion", "rel_atom", "rel_rad", "inversion_asym"),
-    )
-
-    # Bell start: composite correlations for three Bell phases, then
-    # marginals with damped companions.
-    phases = (("phi0", 0.0), ("phiPi6", math.pi / 6.0), ("phiPi2", math.pi / 2.0))
-    catalog["fig4a"] = Scenario(
-        name="fig4a", sweep="tau", start=0.0, stop=70.0, step=0.05,
-        curves=tuple(
-            Curve(label, params(base20, lam=1.0, bell_phase=phi))
-            for label, phi in phases
-        ),
-        description="Bell start N=20: concurrence bound, deficit, mutual "
-                    "entropy vs tau for three Bell phases",
-        shows=("clb", "deficit", "mutual"),
-    )
-    catalog["fig4b"] = Scenario(
-        name="fig4b", sweep="tau", start=0.0, stop=70.0, step=0.05,
-        curves=tuple(
-            [Curve(label, params(base20, lam=1.0, bell_phase=phi))
-             for label, phi in phases]
-            + [Curve(f"{label}_g0p05",
-                     params(base20, lam=1.0, bell_phase=phi, gamma_bar=0.05))
-               for label, phi in phases]
-        ),
-        description="Bell start N=20: inversion and conditional entropies "
-                    "for three Bell phases, undamped and damped",
-        shows=("inversion", "rel_atom", "rel_rad", "inversion_asym"),
-    )
-
-    # Supercorrelation scans: the field conditional entropy dips negative.
-    def supercorr(name, base, stop):
-        variants = (
-            ("lam0_p11_0", dict(lam=0.0, p11=0.0)),
-            ("lam0_p11_0p8", dict(lam=0.0, p11=0.8)),
-            ("lam1", dict(lam=1.0)),
-        )
-        curves = [Curve(label, params(base, **kw)) for label, kw in variants]
-        curves += [
-            Curve(f"{label}_g0p05", params(base, gamma_bar=0.05, **kw))
-            for label, kw in variants
-        ]
-        return Scenario(
-            name=name, sweep="tau", start=0.0, stop=stop, step=0.05,
-            curves=tuple(curves),
-            description="conditional entropy of the atom given the field "
-                        "vs tau, undamped and damped",
-            shows=("rel_rad", "rel_atom"),
-        )
-
-    catalog["fig5a"] = supercorr("fig5a", base20, 70.0)
-    catalog["fig5b"] = supercorr("fig5b", base5, 30.0)
-    return catalog
-
-
-CATALOG = _catalog()
-
+from .runner import CATALOG, Curve, Scenario, emit_csv, run_scenario
 
 # --- command line ------------------------------------------------------------
 
@@ -339,16 +40,12 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--clb-formula", choices=("paper", "xstate"),
-                        default="paper")
     parser.add_argument("--clb-include-n0", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="include the projection holding the unpaired "
                         "|0,2> weight")
     parser.add_argument("--nu-max", type=int, default=5,
                         help="revival bursts kept in the resummed inversion")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads across curves")
 
 
 def _params_from_args(args) -> ModelParams:
@@ -366,15 +63,16 @@ def _params_from_args(args) -> ModelParams:
     return params_from_mapping(mapping)
 
 
-def _write_series(all_series, out_dir: str) -> list:
-    out = Path(out_dir)
+def _run_and_write(scenario: Scenario, args) -> int:
+    all_series = run_scenario(scenario, clb_include_n0=args.clb_include_n0,
+                              nu_max=args.nu_max)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     for series in all_series:
         path = out / f"{series.scenario}__{series.label}.csv"
         emit_csv(series, path)
-        written.append(path)
-    return written
+        print(path)
+    return 0
 
 
 def _cmd_scenario(args) -> int:
@@ -396,14 +94,7 @@ def _cmd_scenario(args) -> int:
             stop=args.tau_max if args.tau_max is not None else scenario.stop,
             step=args.tau_step if args.tau_step is not None else scenario.step,
         )
-    all_series = run_scenario(
-        scenario, clb_formula=args.clb_formula,
-        clb_include_n0=args.clb_include_n0, nu_max=args.nu_max,
-        jobs=args.jobs,
-    )
-    for path in _write_series(all_series, args.out):
-        print(path)
-    return 0
+    return _run_and_write(scenario, args)
 
 
 def _cmd_evolve(args) -> int:
@@ -412,14 +103,7 @@ def _cmd_evolve(args) -> int:
         name="evolve", sweep="tau", start=0.0, stop=args.tau_max,
         step=args.tau_step, curves=(Curve(args.label, params),),
     )
-    all_series = run_scenario(
-        scenario, clb_formula=args.clb_formula,
-        clb_include_n0=args.clb_include_n0, nu_max=args.nu_max,
-        jobs=args.jobs,
-    )
-    for path in _write_series(all_series, args.out):
-        print(path)
-    return 0
+    return _run_and_write(scenario, args)
 
 
 def _cmd_sweep_clb(args) -> int:
@@ -429,33 +113,37 @@ def _cmd_sweep_clb(args) -> int:
         stop=args.lambda_stop, step=args.lambda_step,
         curves=(Curve(args.label, params),),
     )
-    all_series = run_scenario(
-        scenario, clb_formula=args.clb_formula,
-        clb_include_n0=args.clb_include_n0, nu_max=args.nu_max,
-        jobs=args.jobs,
-    )
-    for path in _write_series(all_series, args.out):
-        print(path)
-    return 0
+    return _run_and_write(scenario, args)
 
 
 def _cmd_validate(args) -> int:
     params = _params_from_args(args)
-    taus = [float(t) for t in np.arange(1, int(args.tau_max) + 1)]
+    if not math.isfinite(args.tau_max):
+        raise ValueError("--tau-max must be finite")
+    # Whole times up to tau_max, and tau_max itself when it is not whole.
+    last = math.floor(args.tau_max)
+    taus = [float(t) for t in range(1, last + 1)]
+    if last >= 0 and args.tau_max > last:
+        taus.append(args.tau_max)
+    if not taus:
+        print("FAIL: 0 states compared; --tau-max must be positive",
+              file=sys.stderr)
+        return 1
     initial = build_initial_state(params)
     dense_path = integrate_path(dense_from_block(initial), params, taus,
                                 args.dt)
     worst = 0.0
     for tau, dense in zip(taus, dense_path):
-        block = propagate(initial, params, tau)
-        report = compare_states(dense, block)
+        report = compare_states(dense, propagate(initial, params, tau))
         worst = max(worst, report.max_abs)
         print(f"tau = {tau:g}: {report}")
+    compared = f"{len(taus)} state{'s' if len(taus) != 1 else ''} compared"
     if worst >= args.tol:
-        print(f"FAIL: max deviation {worst:.3e} >= tolerance {args.tol:.1e}",
-              file=sys.stderr)
+        print(f"FAIL: max deviation {worst:.3e} >= tolerance {args.tol:.1e} "
+              f"({compared})", file=sys.stderr)
         return 1
-    print(f"OK: max deviation {worst:.3e} < tolerance {args.tol:.1e}")
+    print(f"OK: max deviation {worst:.3e} < tolerance {args.tol:.1e} "
+          f"({compared})")
     return 0
 
 

@@ -9,103 +9,44 @@ on the atom-field entanglement of the full state.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import BlockState
+from .model import BlockState, _per_row
 
 # Projections carrying less weight than this are skipped: their normalized
 # concurrence is numerically meaningless and their weight cannot matter.
 _WEIGHT_FLOOR = 1e-14
 
-_FORMULAS = ("paper", "xstate")
 
-
-@dataclass(frozen=True)
-class ProjectedBlock:
-    """Entries of the two-qubit state projected onto photons {n, n+1}.
-
-    v = b[n], w = b[n+1], x = a[n], y = a[n+1], z = c[n]; t is the projected
-    trace v + w + x + y.  The only coherence surviving the block structure is
-    z, between |n+1, ground> and |n, excited>.
-    """
-
-    v: float
-    w: float
-    x: float
-    y: float
-    z: complex
-    t: float
-
-
-def project_block(state: BlockState, n: int) -> ProjectedBlock:
-    """Project onto the photon pair {n, n+1}; needs 0 <= n <= n_max - 1."""
-    if not 0 <= n <= state.n_max - 1:
-        raise IndexError(f"projection index {n} outside 0..{state.n_max - 1}")
-    return ProjectedBlock(
-        v=float(state.b[n]),
-        w=float(state.b[n + 1]),
-        x=float(state.a[n]),
-        y=float(state.a[n + 1]),
-        z=complex(state.c[n]),
-        t=float(state.b[n] + state.b[n + 1] + state.a[n] + state.a[n + 1]),
-    )
-
-
-def block_concurrence(block: ProjectedBlock, formula: str = "paper") -> float:
-    """Concurrence of one normalized projection.
-
-    formula="paper" uses (2/t) (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to
-    [0, 1]; formula="xstate" uses the plain X-state value
-    max(0, 2 (|z| - sqrt(v y)) / t).  They agree whenever |z| <= sqrt(w x),
-    which holds for every positive semidefinite block.
-    """
-    if formula not in _FORMULAS:
-        raise ValueError(f"formula must be one of {_FORMULAS}")
-    if block.t <= 0:
-        raise ValueError("projected block has no weight")
-    # Clip tiny negative populations left by round-off before the square
-    # roots.
-    v, w, x, y = (max(q, 0.0) for q in (block.v, block.w, block.x, block.y))
-    az = abs(block.z)
-    if formula == "paper":
-        raw = 2.0 * (min(az, math.sqrt(w * x)) - math.sqrt(v * y)) / block.t
-        return min(max(raw, 0.0), 1.0)
-    return max(0.0, 2.0 * (az - math.sqrt(v * y)) / block.t)
-
-
-def concurrence_lower_bound(
-    state: BlockState,
-    formula: str = "paper",
-    include_n0: bool = True,
-) -> float:
+def concurrence_lower_bound(state: BlockState, include_n0: bool = True):
     """Trace-weighted average concurrence over all photon-pair projections.
+
+    The projection onto photons {n, n+1} has populations v = b[n],
+    w = b[n+1], x = a[n], y = a[n+1], the coherence z = c[n] and the trace
+    t = v + w + x + y; its concurrence is
+    (2 / t) (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to [0, 1].  The min is
+    a no-op on every positive semidefinite block, where |z| <= sqrt(w x).
 
     Runs over n = 0..n_max-1 (or 1..n_max-1 with include_n0=False, which
     drops the one projection containing the unpaired |0,2> weight).
-    Projections below the weight floor are skipped.
+    Projections below the weight floor are skipped.  Returns a float, or one
+    value per row of a batched state.
     """
-    if formula not in _FORMULAS:
-        raise ValueError(f"formula must be one of {_FORMULAS}")
     start = 0 if include_n0 else 1
-    v = np.clip(state.b[start:-1], 0.0, None)
-    w = np.clip(state.b[start + 1:], 0.0, None)
-    x = np.clip(state.a[start:-1], 0.0, None)
-    y = np.clip(state.a[start + 1:], 0.0, None)
-    az = np.abs(state.c[start:])
+    # Clip tiny negative populations left by round-off before the square
+    # roots.
+    v = np.clip(state.b[..., start:-1], 0.0, None)
+    w = np.clip(state.b[..., start + 1:], 0.0, None)
+    x = np.clip(state.a[..., start:-1], 0.0, None)
+    y = np.clip(state.a[..., start + 1:], 0.0, None)
+    az = np.abs(state.c[..., start:])
     t = v + w + x + y
 
     keep = t >= _WEIGHT_FLOOR
-    if not np.any(keep):
-        return 0.0
-    t = t[keep]
-    if formula == "paper":
-        raw = 2.0 * (np.minimum(az[keep], np.sqrt(w[keep] * x[keep]))
-                     - np.sqrt(v[keep] * y[keep])) / t
-        conc = np.clip(raw, 0.0, 1.0)
-    else:
-        raw = 2.0 * (az[keep] - np.sqrt(v[keep] * y[keep])) / t
-        conc = np.maximum(raw, 0.0)
-    return float(np.dot(conc, t) / np.sum(t))
+    weight = np.where(keep, t, 0.0)
+    raw = 2.0 * (np.minimum(az, np.sqrt(w * x)) - np.sqrt(v * y)) \
+        / np.where(keep, t, 1.0)
+    conc = np.clip(raw, 0.0, 1.0)
+    total = np.sum(weight, axis=-1)
+    return _per_row(np.where(total > 0.0, np.sum(conc * weight, axis=-1)
+                             / np.where(total > 0.0, total, 1.0), 0.0))

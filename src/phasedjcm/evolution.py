@@ -10,12 +10,11 @@ arbitrary times are reached in a single call with no stepping error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockState, ModelParams
+from .model import BlockState, ModelParams, _per_row
 
 
 def rabi_frequency(params: ModelParams, n):
@@ -49,23 +48,30 @@ def envelopes(params: ModelParams, n, tau: float):
     return cos + half_rate * v, cos - half_rate * v, v
 
 
-def propagate(state: BlockState, params: ModelParams, tau: float) -> BlockState:
+def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     """Evolve a block state forward by tau in one exact step.
 
-    The unpaired weights b[0] and a[n_max] are constants of the motion (the
-    latter because its partner level lies above the truncation), so they are
-    carried through unchanged.  Evolution is a semigroup:
+    ``tau`` is a scalar or a 1-D array of times.  An array gives a batched
+    state with one row per time; a batched ``state`` is evolved row by row,
+    its rows broadcast against the times.  The unpaired weights b[0] and
+    a[n_max] are constants of the motion (the latter because its partner
+    level lies above the truncation), so they are carried through unchanged.
+    Evolution is a semigroup:
     propagate(s, t1 + t2) == propagate(propagate(s, t1), t2) to round-off.
     """
-    if tau < 0:
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim > 1:
+        raise ValueError("tau must be a scalar or a 1-D array")
+    if np.any(tau < 0):
         raise ValueError("tau must be non-negative")
+    tau = tau[..., None]
     pairs = np.arange(state.n_max)
     w_plus, w_minus, v = envelopes(params, pairs, tau)
-    half = math.exp(-0.5 * params.gamma_bar * tau)
+    half = np.exp(-0.5 * params.gamma_bar * tau)
     full = half * half
 
-    a0 = state.a[:-1]
-    b0 = state.b[1:]
+    a0 = state.a[..., :-1]
+    b0 = state.b[..., 1:]
     c0 = state.c
     root = params.kappa_bar * np.sqrt(pairs + 1.0)
 
@@ -84,8 +90,9 @@ def propagate(state: BlockState, params: ModelParams, tau: float) -> BlockState:
         - 1j * root * (b0 - a0) * half * v
     )
 
-    a = np.concatenate([a1, state.a[-1:]])
-    b = np.concatenate([state.b[:1], b1])
+    edge = a1.shape[:-1] + (1,)
+    a = np.concatenate([a1, np.broadcast_to(state.a[..., -1:], edge)], axis=-1)
+    b = np.concatenate([np.broadcast_to(state.b[..., :1], edge), b1], axis=-1)
     return BlockState(a=a, b=b, c=c1)
 
 
@@ -98,10 +105,10 @@ def asymptotic_state(state: BlockState, params: ModelParams) -> BlockState:
     """
     if params.gamma_bar <= 0:
         raise ValueError("asymptotic state needs gamma_bar > 0")
-    mean = 0.5 * (state.a[:-1] + state.b[1:])
-    a = np.concatenate([mean, state.a[-1:]])
-    b = np.concatenate([state.b[:1], mean])
-    return BlockState(a=a, b=b, c=np.zeros(state.n_max, dtype=complex))
+    mean = 0.5 * (state.a[..., :-1] + state.b[..., 1:])
+    a = np.concatenate([mean, state.a[..., -1:]], axis=-1)
+    b = np.concatenate([state.b[..., :1], mean], axis=-1)
+    return BlockState(a=a, b=b, c=np.zeros(state.c.shape, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -114,18 +121,20 @@ class SpectralDecomposition:
     (cos theta, -sin theta e^{-i psi}) and (sin theta e^{i psi}, cos theta).
     b0 is the unpaired |0,2> weight.  The top entry a[n_max] is included as
     pair n_max against an empty partner level, so b0 plus all lam_a and
-    lam_b sum to the trace exactly.
+    lam_b sum to the trace exactly.  For a batched state every field has
+    the state's leading batch axis, and b0 is an array of one weight per row.
     """
 
     lam_a: np.ndarray
     lam_b: np.ndarray
     theta: np.ndarray
     psi: np.ndarray
-    b0: float
+    b0: float | np.ndarray
 
     def eigenvalues(self) -> np.ndarray:
-        """All joint eigenvalues as one flat array (b0 first)."""
-        return np.concatenate([[self.b0], self.lam_a, self.lam_b])
+        """All joint eigenvalues along the last axis (b0 first)."""
+        return np.concatenate(
+            [np.asarray(self.b0)[..., None], self.lam_a, self.lam_b], axis=-1)
 
 
 def spectral_decompose(state: BlockState) -> SpectralDecomposition:
@@ -135,8 +144,10 @@ def spectral_decompose(state: BlockState) -> SpectralDecomposition:
     theta = psi = 0.
     """
     a = state.a
-    b_hi = np.append(state.b[1:], 0.0)  # truncation leaves a[n_max] unpaired
-    c = np.append(state.c, 0.0)
+    # Truncation leaves a[n_max] unpaired.
+    edge = np.zeros(a.shape[:-1] + (1,))
+    b_hi = np.concatenate([state.b[..., 1:], edge], axis=-1)
+    c = np.concatenate([state.c, edge], axis=-1)
 
     half_sum = 0.5 * (a + b_hi)
     disc = np.sqrt(0.25 * (a - b_hi) ** 2 + np.abs(c) ** 2)
@@ -147,5 +158,5 @@ def spectral_decompose(state: BlockState) -> SpectralDecomposition:
         lam_b=half_sum - disc,
         theta=theta,
         psi=psi,
-        b0=float(state.b[0]),
+        b0=_per_row(state.b[..., 0]),
     )

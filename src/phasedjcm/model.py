@@ -10,7 +10,8 @@ The interaction couples only the pairs {|n,1>, |n+1,2>} of joint
 photon-number/atom states (|1> ground, |2> excited), so a density matrix that
 starts block diagonal in those pairs stays block diagonal.  ``BlockState``
 stores exactly that structure: the populations of each pair, the single
-intra-pair coherence, and the weight of the unpaired |0,2> level.
+intra-pair coherence, and the weight of the unpaired |0,2> level.  It may
+carry a leading batch axis of several such states, one per row.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson as _scipy_poisson
+from scipy.special import gammaln, pdtrc
 
 # Default bound on the neglected Poisson weight above the Fock cutoff.
 TAIL_TOL = 1e-12
@@ -78,9 +78,11 @@ class ModelParams:
 
     def __post_init__(self):
         if self.n_max is None:
-            # Out-of-range means are reported by validate_params, not here;
-            # the placeholder keeps the cutoff usable as an integer.
-            cutoff = default_n_max(self.mean_photons) if self.mean_photons > 0 else 1
+            # Out-of-range or non-finite means are reported by
+            # validate_params, not here; the placeholder keeps the cutoff
+            # usable as an integer.
+            mean = self.mean_photons
+            cutoff = default_n_max(mean) if math.isfinite(mean) and mean > 0 else 1
             object.__setattr__(self, "n_max", cutoff)
 
     @property
@@ -114,12 +116,17 @@ def poisson_tail(mean: float, n_max: int) -> float:
     """Total Poisson weight strictly above n_max."""
     if mean <= 0:
         raise ValueError("Poisson mean must be positive")
-    return float(_scipy_poisson.sf(n_max, mean))
+    return float(pdtrc(n_max, mean))
+
+
+def _per_row(values):
+    """A float for a 0-d result, the array of row values otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True)
 class BlockState:
-    """Block-diagonal joint density matrix.
+    """Block-diagonal joint density matrix, or a batch of them.
 
     a[n] = <n|rho_11|n> for n = 0..n_max      (atom ground)
     b[n] = <n|rho_22|n> for n = 0..n_max      (atom excited; b[0] is the
@@ -127,8 +134,10 @@ class BlockState:
     c[n] = <n|rho_12|n+1> for n = 0..n_max-1  (intra-pair coherence)
 
     The pair {|n,1>, |n+1,2>} carries the 2x2 block
-    [[a[n], c[n]], [conj(c[n]), b[n+1]]].  The arrays are frozen after
-    construction.
+    [[a[n], c[n]], [conj(c[n]), b[n+1]]].  An optional leading batch axis
+    holds one state per row: a and b of shape (rows, n_max + 1) and c of
+    shape (rows, n_max).  Scalar results such as ``trace()`` are then one
+    value per row.  The arrays are frozen after construction.
     """
 
     a: np.ndarray
@@ -139,11 +148,13 @@ class BlockState:
         a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
         c = np.array(self.c, dtype=complex)
-        if a.ndim != 1 or b.shape != a.shape or c.shape != (a.size - 1,):
+        if (a.ndim not in (1, 2) or b.shape != a.shape
+                or c.shape != a.shape[:-1] + (a.shape[-1] - 1,)):
             raise ValueError(
-                "need len(a) == len(b) == n_max + 1 and len(c) == n_max"
+                "need len(a) == len(b) == n_max + 1 and len(c) == n_max "
+                "along the last axis, with at most one batch axis"
             )
-        if a.size < 2:
+        if a.shape[-1] < 2:
             raise ValueError("n_max must be at least 1")
         for arr in (a, b, c):
             arr.flags.writeable = False
@@ -153,32 +164,38 @@ class BlockState:
 
     @property
     def n_max(self) -> int:
-        return self.a.size - 1
+        return self.a.shape[-1] - 1
 
-    def trace(self) -> float:
-        return float(np.sum(self.a) + np.sum(self.b))
+    def trace(self):
+        return _per_row(np.sum(self.a, axis=-1) + np.sum(self.b, axis=-1))
 
-    def min_eigenvalue(self) -> float:
+    def min_eigenvalue(self):
         """Smallest eigenvalue over all 2x2 blocks and unpaired levels."""
-        a, b_hi, c = self.a[:-1], self.b[1:], self.c
+        a, b_hi, c = self.a[..., :-1], self.b[..., 1:], self.c
         disc = np.sqrt(0.25 * (a - b_hi) ** 2 + np.abs(c) ** 2)
-        lo = float(np.min(0.5 * (a + b_hi) - disc))
-        return min(lo, float(self.b[0]), float(self.a[-1]))
+        lo = np.min(0.5 * (a + b_hi) - disc, axis=-1)
+        return _per_row(np.minimum(lo, np.minimum(self.b[..., 0],
+                                                  self.a[..., -1])))
 
 
-def _initial_arrays(params: ModelParams):
-    """Raw (a, b, c) arrays of the Bell-mixture initial state, unvalidated."""
+def _initial_arrays(params: ModelParams, lam):
+    """Raw (a, b, c) arrays of the Bell-mixture initial state, unvalidated.
+
+    ``lam`` is the mixture weight; a 1-D array of weights gives arrays with
+    a leading batch axis, one row per weight.
+    """
     n_max = params.n_max
     pn = poisson_pmf(params.mean_photons, np.arange(n_max + 1))
-    lam, q11, q22 = params.lam, params.q11, params.q22
+    lam = np.asarray(lam, dtype=float)[..., None]
+    q11, q22 = params.q11, params.q22
     factored = (1.0 - lam) * params.p11 + lam * q11
 
     a = factored * pn
-    b = np.empty(n_max + 1)
+    b = np.empty(a.shape)
     # |0,2> takes only the factored excited piece; the Bell piece never
     # populates it.
-    b[0] = (1.0 - lam) * params.p22 * pn[0]
-    b[1:] = (1.0 - lam) * params.p22 * pn[1:] + lam * q22 * pn[:-1]
+    b[..., :1] = (1.0 - lam) * params.p22 * pn[0]
+    b[..., 1:] = (1.0 - lam) * params.p22 * pn[1:] + lam * q22 * pn[:-1]
     c = pn[:-1] * lam * np.sqrt(q11 * q22) * np.exp(-1j * params.bell_phase)
     return a, b, c
 
@@ -199,15 +216,24 @@ class ValidationReport:
             raise ParameterError("; ".join(self.errors))
 
 
+_FLOAT_FIELDS = ("kappa_bar", "gamma_bar", "mean_photons", "lam", "p11",
+                 "q11", "bell_phase")
+
+
 def validate_params(params: ModelParams, tail_tol: float = TAIL_TOL) -> ValidationReport:
-    """Check ranges, underdamping, truncation, and initial-state positivity.
+    """Check finiteness, ranges, underdamping, truncation, and initial-state
+    positivity.
 
     The decisive positivity test diagonalizes every initial 2x2 block
     directly.  The closed-form inequality on the mixture weights is reported
     only as a warning when it fails, since it is sufficient but not always
     tight for 0 < lam < 1.
     """
-    errors = []
+    errors = [f"{'lambda' if name == 'lam' else name} must be finite"
+              for name in _FLOAT_FIELDS
+              if not math.isfinite(getattr(params, name))]
+    if errors:
+        return ValidationReport(errors=tuple(errors))
     warnings = []
 
     if not params.kappa_bar > 0:
@@ -242,8 +268,7 @@ def validate_params(params: ModelParams, tail_tol: float = TAIL_TOL) -> Validati
             )
 
     if not errors:
-        a, b, c = _initial_arrays(params)
-        state = BlockState(a=a, b=b, c=c)
+        state = BlockState(*_initial_arrays(params, params.lam))
         if state.min_eigenvalue() < -1e-12:
             errors.append(
                 "initial state is not positive semidefinite "
@@ -277,8 +302,7 @@ def build_initial_state(params: ModelParams) -> BlockState:
     weights, with |B(n)> = sqrt(q11) |n+1,1> + sqrt(q22) e^{-i phi} |n,2>.
     """
     validate_params(params).raise_if_invalid()
-    a, b, c = _initial_arrays(params)
-    return BlockState(a=a, b=b, c=c)
+    return BlockState(*_initial_arrays(params, params.lam))
 
 
 # --- flat key=value config files -------------------------------------------

@@ -14,20 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import SpectralDecomposition, spectral_decompose
-from .model import BlockState
+from .model import BlockState, _per_row
 
 # Weights below this are dropped from entropy sums (0 ln 0 := 0, and the
 # logarithm would otherwise overflow for denormals).
 _ENTROPY_FLOOR = 1e-300
 
 
-def shannon_entropy(weights) -> float:
-    """-sum w ln w over the entries above the underflow floor."""
-    w = np.asarray(weights, dtype=float).ravel()
-    w = w[w > _ENTROPY_FLOOR]
-    if w.size == 0:
-        return 0.0
-    return float(-np.dot(w, np.log(w)))
+def shannon_entropy(weights):
+    """-sum w ln w along the last axis, over the entries above the underflow
+    floor; a float for 1-D weights, one value per row otherwise."""
+    w = np.asarray(weights, dtype=float)
+    keep = w > _ENTROPY_FLOOR
+    terms = np.where(keep, w * np.log(np.where(keep, w, 1.0)), 0.0)
+    return _per_row(-np.sum(terms, axis=-1))
 
 
 def reduced_states(state: BlockState):
@@ -37,17 +37,21 @@ def reduced_states(state: BlockState):
     diagonal with ground weight w1 = sum a and excited weight w2 = sum b.
     """
     photon = state.a + state.b
-    return photon, float(np.sum(state.a)), float(np.sum(state.b))
+    return (photon, _per_row(np.sum(state.a, axis=-1)),
+            _per_row(np.sum(state.b, axis=-1)))
 
 
-def atomic_inversion(state: BlockState) -> float:
+def atomic_inversion(state: BlockState):
     """Population difference w1 - w2 between atomic ground and excited."""
-    return float(np.sum(state.a) - np.sum(state.b))
+    _, w1, w2 = reduced_states(state)
+    return w1 - w2
 
 
 @dataclass(frozen=True)
 class EntropyReport:
     """Entropy functionals of one joint state, all in nats.
+
+    For a batched state every field is an array with one value per row.
 
     s_atom / s_rad   marginal entropies of atom and field
     s_joint          entropy of the joint state
@@ -75,7 +79,8 @@ class EntropyReport:
 def entropy_report(
     state: BlockState, decomp: SpectralDecomposition | None = None
 ) -> EntropyReport:
-    """Compute every entropy functional of one state.
+    """Compute every entropy functional of one state, or of each row of a
+    batched state.
 
     Pass the state's spectral decomposition if it is already available;
     otherwise it is computed here.
@@ -83,10 +88,10 @@ def entropy_report(
     if decomp is None:
         decomp = spectral_decompose(state)
     photon, w1, w2 = reduced_states(state)
-    s_atom = shannon_entropy([w1, w2])
+    s_atom = shannon_entropy(np.stack([w1, w2], axis=-1))
     s_rad = shannon_entropy(photon)
     s_joint = shannon_entropy(decomp.eigenvalues())
-    s_dec = shannon_entropy(np.concatenate([state.a, state.b]))
+    s_dec = shannon_entropy(np.concatenate([state.a, state.b], axis=-1))
     return EntropyReport(
         s_atom=s_atom,
         s_rad=s_rad,

@@ -37,11 +37,12 @@ class RevivalSeries:
     """Callable pieces of the resummed inversion.
 
     constant_term holds the time-independent offset from the unpaired |0,2>
-    weight; collapse_term is the tau = 0 burst; revivals[k] is the burst
-    centered at tau_rev[k].  Each callable accepts a scalar or array tau.
+    weight (one per mixture weight when built for several); collapse_term
+    is the tau = 0 burst; revivals[k] is the burst centered at tau_rev[k].
+    Each callable accepts a scalar or array tau.
     """
 
-    constant_term: float
+    constant_term: float | np.ndarray
     collapse_term: Callable
     revivals: tuple
     tau_rev: np.ndarray
@@ -53,9 +54,12 @@ class RevivalSeries:
         return out
 
 
-def revival_series(params: ModelParams, nu_max: int = 5) -> RevivalSeries:
+def revival_series(params: ModelParams, nu_max: int = 5,
+                   lam=None) -> RevivalSeries:
     """Build the resummed inversion for an undamped run.
 
+    ``lam`` replaces ``params.lam`` when given; a 1-D array of mixture
+    weights makes every term return one value per weight (at a scalar tau).
     Only gamma_bar == 0 is supported: damping deforms every pair frequency
     and envelope, and this expansion does not model that.
     """
@@ -64,7 +68,8 @@ def revival_series(params: ModelParams, nu_max: int = 5) -> RevivalSeries:
     kbar = params.kappa_bar
     big_n = params.mean_photons
     root_n = math.sqrt(big_n)
-    lam, p11, p22 = params.lam, params.p11, params.p22
+    lam = params.lam if lam is None else np.asarray(lam, dtype=float)
+    p11, p22 = params.p11, params.p22
     q11, q22 = params.q11, params.q22
     bell = 2.0 * lam * math.sqrt(q11 * q22) * math.sin(params.bell_phase)
 

@@ -1,0 +1,313 @@
+"""Scenario runner, CSV emitter and the scenario catalog.
+
+Each catalog scenario bundles one figure's worth of curves; a curve is one
+parameter set swept over tau (or, for the initial state scans, over the
+mixture weight lambda).  A curve is evaluated in blocks of grid rows, each
+block one batched state, so every layer sees whole rows at once.  Output is
+one CSV per curve with a fixed column set, printed with 9 significant
+digits and line-feed endings so repeated runs are byte-identical.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .entanglement import concurrence_lower_bound
+from .evolution import propagate
+from .model import (
+    BlockState,
+    ModelParams,
+    ParameterError,
+    _initial_arrays,
+    build_initial_state,
+    validate_params,
+)
+from .observables import entropy_report
+from .revival import poisson_sum_inversion, revival_series
+
+COLUMNS = (
+    "clb",
+    "deficit",
+    "mutual",
+    "s_atom",
+    "s_rad",
+    "s_joint",
+    "rel_atom",
+    "rel_rad",
+    "inversion",
+    "inversion_asym",
+)
+
+# Entries (rows times n_max + 1) of one evaluated block.  Blocks of this
+# size run as fast as one block holding the whole curve, at a small
+# fraction of its peak memory.
+_BLOCK_ENTRIES = 2**14
+
+# Relative slack on the point count of a grid, so that a stop that is a
+# whole number of steps away survives the round-off of the division.
+_GRID_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class Curve:
+    """One parameter set inside a scenario, tagged with its file label."""
+
+    label: str
+    params: ModelParams
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A named sweep: either tau along a grid, or lambda at tau = 0."""
+
+    name: str
+    sweep: str                  # "tau" or "lambda"
+    start: float
+    stop: float
+    step: float
+    curves: tuple
+    description: str = ""
+    shows: tuple = COLUMNS      # columns the figure displays
+
+    def grid(self) -> np.ndarray:
+        """Points start, start + step, ... up to and never past stop."""
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise ValueError(f"{self.name}: grid bounds and step must be "
+                             "finite")
+        if self.step <= 0:
+            raise ValueError(f"{self.name}: grid step must be positive")
+        if self.stop < self.start:
+            raise ValueError(f"{self.name}: empty grid")
+        ratio = (self.stop - self.start) / self.step
+        count = math.floor(ratio * (1.0 + _GRID_SLACK)) + 1
+        return self.start + self.step * np.arange(count)
+
+
+@dataclass
+class TimeSeries:
+    """Ordered records of every observable along one curve."""
+
+    scenario: str
+    label: str
+    axis_name: str
+    axis: np.ndarray
+    columns: dict
+
+
+def _evaluate(grid: np.ndarray, n_max: int, states, include_n0: bool) -> dict:
+    """Every column but the overlay along ``grid``.
+
+    ``states(points)`` returns the batched state at a block of grid points.
+    """
+    cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}
+    rows = max(1, _BLOCK_ENTRIES // (n_max + 1))
+    for lo in range(0, grid.size, rows):
+        block = slice(lo, lo + rows)
+        state = states(grid[block])
+        rep = entropy_report(state)
+        cols["clb"][block] = concurrence_lower_bound(state,
+                                                     include_n0=include_n0)
+        for name in COLUMNS[1:-1]:
+            cols[name][block] = getattr(rep, name)
+    return cols
+
+
+def _run_tau_curve(scenario: Scenario, curve: Curve, grid: np.ndarray,
+                   include_n0: bool, nu_max: int) -> TimeSeries:
+    params = curve.params
+    initial = build_initial_state(params)
+    # Every sample is reached in one exact step from tau = 0; no error
+    # accumulates along the grid.
+    cols = _evaluate(grid, params.n_max,
+                     lambda taus: propagate(initial, params, taus),
+                     include_n0)
+    if params.gamma_bar == 0:
+        cols["inversion_asym"] = poisson_sum_inversion(params, grid,
+                                                       nu_max=nu_max)
+    else:
+        # The resummed inversion is undamped-only; mark it absent.
+        cols["inversion_asym"] = np.full(grid.size, math.nan)
+    return TimeSeries(scenario.name, curve.label, "tau", grid, cols)
+
+
+def _run_lambda_curve(scenario: Scenario, curve: Curve, grid: np.ndarray,
+                      include_n0: bool, nu_max: int) -> TimeSeries:
+    params = curve.params
+    # One validation per curve: every check but the range of lambda reads
+    # the same at every weight, and the initial state is affine in lambda
+    # between two positive states, so the first weight plus the range check
+    # on the last one cover the whole grid.
+    validate_params(replace(params, lam=float(grid[0]))).raise_if_invalid()
+    if grid[-1] > 1.0:
+        raise ParameterError("lambda must lie in [0, 1]")
+    cols = _evaluate(grid, params.n_max,
+                     lambda lams: BlockState(*_initial_arrays(params, lams)),
+                     include_n0)
+    if params.gamma_bar == 0:
+        cols["inversion_asym"] = revival_series(params, nu_max, lam=grid)(0.0)
+    else:
+        cols["inversion_asym"] = np.full(grid.size, math.nan)
+    return TimeSeries(scenario.name, curve.label, "lambda", grid, cols)
+
+
+def run_scenario(scenario: Scenario, clb_include_n0: bool = True,
+                 nu_max: int = 5) -> list:
+    """Evaluate every curve of a scenario; returns one TimeSeries per curve,
+    in the scenario's curve order."""
+    if scenario.sweep not in ("tau", "lambda"):
+        raise ValueError(f"unknown sweep kind {scenario.sweep!r}")
+    grid = scenario.grid()
+    runner = _run_tau_curve if scenario.sweep == "tau" else _run_lambda_curve
+    return [runner(scenario, curve, grid, clb_include_n0, nu_max)
+            for curve in scenario.curves]
+
+
+def emit_csv(series: TimeSeries, path) -> None:
+    """Write one curve as CSV: header plus one row per grid point."""
+    header = ",".join((series.axis_name,) + COLUMNS)
+    table = np.column_stack([series.axis]
+                            + [series.columns[name] for name in COLUMNS])
+    # "%.9g" formats a float exactly as f"{value:.9g}" does.
+    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+
+
+# --- scenario catalog --------------------------------------------------------
+
+def _label_num(value: float) -> str:
+    text = f"{value:g}".replace("-", "m").replace(".", "p")
+    return text
+
+
+def _catalog() -> dict:
+    base20 = dict(kappa_bar=1.0, gamma_bar=0.0, mean_photons=20.0,
+                  lam=0.0, p11=0.8, q11=0.5, bell_phase=math.pi / 6.0)
+    base5 = dict(base20, mean_photons=5.0)
+
+    def params(base, **kw):
+        return ModelParams(**{**base, **kw})
+
+    catalog = {}
+
+    # Initial-state concurrence scans over the mixture weight.
+    catalog["fig1a"] = Scenario(
+        name="fig1a", sweep="lambda", start=0.0, stop=1.0, step=0.01,
+        curves=tuple(
+            Curve(f"p11_{_label_num(p11)}", params(base5, mean_photons=2.0,
+                                                   p11=p11))
+            for p11 in (0.0, 0.25, 0.5, 0.75, 1.0)
+        ),
+        description="initial-state concurrence bound vs lambda, N=2, "
+                    "several ground-state weights p11",
+        shows=("clb",),
+    )
+    catalog["fig1b"] = Scenario(
+        name="fig1b", sweep="lambda", start=0.0, stop=1.0, step=0.01,
+        curves=tuple(
+            Curve(f"N{n:g}", params(base5, mean_photons=float(n), p11=1.0))
+            for n in (2, 3, 5, 20)
+        ),
+        description="initial-state concurrence bound vs lambda, p11=1, "
+                    "several mean photon numbers",
+        shows=("clb",),
+    )
+
+    # Concurrence bound vs time for three mixture weights; the inset curves
+    # repeat them with weak damping.
+    def clb_vs_tau(name, base, stop, gamma_inset):
+        curves = []
+        for lam in (0.0, 0.9, 1.0):
+            curves.append(Curve(f"lam{_label_num(lam)}", params(base, lam=lam)))
+        for lam in (0.0, 0.9, 1.0):
+            curves.append(Curve(
+                f"lam{_label_num(lam)}_g{_label_num(gamma_inset)}",
+                params(base, lam=lam, gamma_bar=gamma_inset),
+            ))
+        return Scenario(
+            name=name, sweep="tau", start=0.0, stop=stop, step=0.05,
+            curves=tuple(curves),
+            description="concurrence bound vs tau for lambda 0/0.9/1, "
+                        "with weakly damped inset variants",
+            shows=("clb",),
+        )
+
+    catalog["fig2a"] = clb_vs_tau("fig2a", base5, 30.0, 0.01)
+    catalog["fig2b"] = clb_vs_tau("fig2b", base20, 70.0, 0.01)
+
+    # Factored start: composite correlations, then marginal quantities.
+    catalog["fig3a"] = Scenario(
+        name="fig3a", sweep="tau", start=0.0, stop=70.0, step=0.05,
+        curves=(Curve("main", params(base20)),),
+        description="factored start N=20: concurrence bound, deficit, "
+                    "mutual entropy vs tau",
+        shows=("clb", "deficit", "mutual"),
+    )
+    catalog["fig3b"] = Scenario(
+        name="fig3b", sweep="tau", start=0.0, stop=70.0, step=0.05,
+        curves=(
+            Curve("g0", params(base20)),
+            Curve("g0p05", params(base20, gamma_bar=0.05)),
+        ),
+        description="factored start N=20: inversion and conditional "
+                    "entropies, undamped and damped",
+        shows=("inversion", "rel_atom", "rel_rad", "inversion_asym"),
+    )
+
+    # Bell start: composite correlations for three Bell phases, then
+    # marginals with damped companions.
+    phases = (("phi0", 0.0), ("phiPi6", math.pi / 6.0), ("phiPi2", math.pi / 2.0))
+    catalog["fig4a"] = Scenario(
+        name="fig4a", sweep="tau", start=0.0, stop=70.0, step=0.05,
+        curves=tuple(
+            Curve(label, params(base20, lam=1.0, bell_phase=phi))
+            for label, phi in phases
+        ),
+        description="Bell start N=20: concurrence bound, deficit, mutual "
+                    "entropy vs tau for three Bell phases",
+        shows=("clb", "deficit", "mutual"),
+    )
+    catalog["fig4b"] = Scenario(
+        name="fig4b", sweep="tau", start=0.0, stop=70.0, step=0.05,
+        curves=tuple(
+            [Curve(label, params(base20, lam=1.0, bell_phase=phi))
+             for label, phi in phases]
+            + [Curve(f"{label}_g0p05",
+                     params(base20, lam=1.0, bell_phase=phi, gamma_bar=0.05))
+               for label, phi in phases]
+        ),
+        description="Bell start N=20: inversion and conditional entropies "
+                    "for three Bell phases, undamped and damped",
+        shows=("inversion", "rel_atom", "rel_rad", "inversion_asym"),
+    )
+
+    # Supercorrelation scans: the field conditional entropy dips negative.
+    def supercorr(name, base, stop):
+        variants = (
+            ("lam0_p11_0", dict(lam=0.0, p11=0.0)),
+            ("lam0_p11_0p8", dict(lam=0.0, p11=0.8)),
+            ("lam1", dict(lam=1.0)),
+        )
+        curves = [Curve(label, params(base, **kw)) for label, kw in variants]
+        curves += [
+            Curve(f"{label}_g0p05", params(base, gamma_bar=0.05, **kw))
+            for label, kw in variants
+        ]
+        return Scenario(
+            name=name, sweep="tau", start=0.0, stop=stop, step=0.05,
+            curves=tuple(curves),
+            description="conditional entropy of the atom given the field "
+                        "vs tau, undamped and damped",
+            shows=("rel_rad", "rel_atom"),
+        )
+
+    catalog["fig5a"] = supercorr("fig5a", base20, 70.0)
+    catalog["fig5b"] = supercorr("fig5b", base5, 30.0)
+    return catalog
+
+
+CATALOG = _catalog()

@@ -1,11 +1,16 @@
 """Scenario catalog, CSV emission, and command-line behavior."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasedjcm
 from phasedjcm import (
     CATALOG,
     COLUMNS,
@@ -64,6 +69,17 @@ def test_grid_construction_and_errors():
         replace(scenario, step=-0.1).grid()
     with pytest.raises(ValueError):
         replace(scenario, start=1.0, stop=0.0, step=0.1).grid()
+    for bad in (dict(stop=math.inf), dict(step=math.nan),
+                dict(start=-math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            replace(scenario, **bad).grid()
+    # the grid never passes its stop, even when the step does not divide it
+    np.testing.assert_array_equal(
+        replace(scenario, stop=1.0, step=0.6).grid(), [0.0, 0.6])
+    sizes = {name: s.grid().size for name, s in CATALOG.items()}
+    assert set(sizes.values()) == {101, 601, 1401}
+    for s in CATALOG.values():
+        assert s.grid()[-1] == pytest.approx(s.stop, abs=1e-9)
 
 
 def tiny_scenario(**param_overrides):
@@ -90,16 +106,6 @@ def test_run_scenario_series_layout():
     assert np.all(np.isnan(series[1].columns["inversion_asym"]))
 
 
-def test_thread_count_does_not_change_results():
-    base = run_scenario(tiny_scenario(), jobs=1)
-    threaded = run_scenario(tiny_scenario(), jobs=4)
-    assert [s.label for s in base] == [s.label for s in threaded]
-    for s1, s2 in zip(base, threaded):
-        for name in COLUMNS:
-            np.testing.assert_array_equal(s1.columns[name],
-                                          s2.columns[name])
-
-
 def test_emit_csv_format(tmp_path):
     series = run_scenario(tiny_scenario())[0]
     path = tmp_path / "tiny__undamped.csv"
@@ -123,7 +129,7 @@ def test_emit_csv_format(tmp_path):
 def test_emit_csv_is_deterministic(tmp_path):
     paths = []
     for run in range(2):
-        series = run_scenario(tiny_scenario(), jobs=run + 1)
+        series = run_scenario(tiny_scenario())
         path = tmp_path / f"run{run}.csv"
         emit_csv(series[1], path)
         paths.append(path)
@@ -202,6 +208,30 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--gamma-bar", "nan"),
+    ("--mean-photons", "inf"),
+    ("--kappa-bar=-inf",),
+    ("--lambda", "nan"),
+])
+def test_non_finite_parameters_exit_1(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    rc = main(["evolve", *flags, "--tau-max", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be finite" in err
+    assert not out.exists()
+
+
+def test_evolve_stops_at_tau_max(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["evolve", "--mean-photons", "2", "--n-max", "30",
+               "--tau-max", "1", "--tau-step", "0.6", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "evolve__custom.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.6"]
+
+
 def test_bad_grid_exits_1_without_output(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["scenario", "fig5b", "--tau-step", "0", "--out", str(out)])
@@ -233,6 +263,31 @@ def test_validate_command_passes_quickly(capsys):
     out = capsys.readouterr().out
     assert "OK" in out
     assert out.count("tau =") == 2
+    assert "(2 states compared)" in out
+
+
+def test_validate_compares_at_a_fractional_tau_max(capsys):
+    rc = main(["validate", "--mean-photons", "2", "--n-max", "25",
+               "--tau-max", "0.5", "--dt", "5e-3"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("tau =") == 1 and "tau = 0.5:" in out
+    assert "(1 state compared)" in out
+
+
+@pytest.mark.parametrize("tau_max, message", [
+    ("0", "0 states compared"),
+    ("-0.5", "0 states compared"),
+    ("inf", "finite"),
+    ("nan", "finite"),
+])
+def test_validate_without_checkpoints_fails(capsys, tau_max, message):
+    rc = main(["validate", "--mean-photons", "2", "--n-max", "25",
+               "--tau-max", tau_max])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert message in captured.err
 
 
 def test_validate_command_fails_on_tight_tolerance(capsys):
@@ -248,3 +303,16 @@ def test_list_command(capsys):
     for name in CATALOG:
         assert name in out
     assert "custom" in out
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(phasedjcm.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "phasedjcm.cli", "list"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "fig1a" in proc.stdout

@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from phasedjcm import (
+    BlockState,
     ModelParams,
-    ProjectedBlock,
-    block_concurrence,
     build_initial_state,
     concurrence_lower_bound,
-    poisson_pmf,
-    project_block,
     propagate,
 )
 
@@ -24,67 +21,52 @@ def make_params(**overrides):
     return ModelParams(**base)
 
 
-def test_project_block_reads_fields():
-    params = make_params(lam=1.0)
-    state = build_initial_state(params)
-    blk = project_block(state, 0)
-    assert blk.v == 0.0                      # no unpaired weight at lam=1
-    assert blk.x == pytest.approx(state.a[0], abs=0)
-    assert blk.w == pytest.approx(state.b[1], abs=0)
-    assert blk.y == pytest.approx(state.a[1], abs=0)
-    assert blk.z == state.c[0]
-    assert blk.t == pytest.approx(blk.v + blk.w + blk.x + blk.y, abs=0)
-
-
-def test_project_block_bounds():
-    state = build_initial_state(make_params())
-    with pytest.raises(IndexError):
-        project_block(state, -1)
-    with pytest.raises(IndexError):
-        project_block(state, state.n_max)
+def one_block(v, w, x, y, z):
+    """State with n_max = 1, whose only photon-pair projection carries
+    v = b[0], w = b[1], x = a[0], y = a[1] and the coherence z = c[0]; its
+    concurrence lower bound is the concurrence of that one block."""
+    return BlockState(a=[x, y], b=[v, w], c=[z])
 
 
 def test_projection_weights_cover_trace_at_most_twice():
     state = build_initial_state(make_params(lam=0.4))
-    total = sum(project_block(state, n).t for n in range(state.n_max))
-    assert total <= 2.0 * state.trace() + 1e-12
+    t = state.b[:-1] + state.b[1:] + state.a[:-1] + state.a[1:]
+    assert float(np.sum(t)) <= 2.0 * state.trace() + 1e-12
 
 
 def test_factored_state_has_no_projected_coherence():
     state = build_initial_state(make_params(lam=0.0))
-    assert project_block(state, 3).z == 0.0
+    assert state.c[3] == 0.0
+    assert concurrence_lower_bound(state) == 0.0
 
 
 def test_block_concurrence_zero_coherence():
-    blk = ProjectedBlock(v=0.1, w=0.3, x=0.4, y=0.2, z=0.0, t=1.0)
-    assert block_concurrence(blk) == 0.0
+    assert concurrence_lower_bound(one_block(0.1, 0.3, 0.4, 0.2, 0.0)) == 0.0
 
 
 def test_block_concurrence_maximally_entangled():
-    blk = ProjectedBlock(v=0.0, w=0.5, x=0.5, y=0.0, z=0.5, t=1.0)
-    assert block_concurrence(blk) == pytest.approx(1.0, abs=1e-15)
+    clb = concurrence_lower_bound(one_block(0.0, 0.5, 0.5, 0.0, 0.5))
+    assert clb == pytest.approx(1.0, abs=1e-15)
 
 
 def test_block_concurrence_hand_value():
     # lam=1, q11=0.5, N=2, n=0: v=0, w=x=|z|=p(0)/2, y=p(1)/2,
     # T = p(0) + p(1)/2; with p(1) = 2 p(0) this gives exactly 1/2
     state = build_initial_state(make_params(mean_photons=2.0, lam=1.0))
-    conc = block_concurrence(project_block(state, 0))
-    assert conc == pytest.approx(0.5, abs=1e-14)
+    block = one_block(state.b[0], state.b[1], state.a[0], state.a[1],
+                      state.c[0])
+    assert concurrence_lower_bound(block) == pytest.approx(0.5, abs=1e-14)
 
 
-def test_block_concurrence_rejects_empty_block():
-    blk = ProjectedBlock(v=0.0, w=0.0, x=0.0, y=0.0, z=0.0, t=0.0)
-    with pytest.raises(ValueError):
-        block_concurrence(blk)
-    with pytest.raises(ValueError):
-        block_concurrence(ProjectedBlock(0.1, 0.1, 0.1, 0.1, 0.0, 0.4),
-                          formula="other")
+def test_clb_skips_weightless_projections():
+    assert concurrence_lower_bound(one_block(0.0, 0.0, 0.0, 0.0, 0.0)) == 0.0
+    assert concurrence_lower_bound(one_block(0.0, 1e-15, 1e-15, 0.0,
+                                             1e-15)) == 0.0
 
 
 def test_physical_blocks_keep_coherence_below_geometric_mean():
-    # PSD of the {w, x} sub-block forces |z| <= sqrt(w x); then the two
-    # concurrence formulas coincide
+    # PSD of the {w, x} sub-block forces |z| <= sqrt(w x), so the min in the
+    # concurrence formula never binds
     rng = np.random.default_rng(9)
     for _ in range(40):
         params = make_params(
@@ -96,14 +78,9 @@ def test_physical_blocks_keep_coherence_below_geometric_mean():
         )
         state = propagate(build_initial_state(params), params,
                           float(rng.uniform(0, 15.0)))
-        for n in range(0, state.n_max, 7):
-            blk = project_block(state, n)
-            if blk.t < 1e-14:
-                continue
-            assert abs(blk.z) <= math.sqrt(max(blk.w, 0) * max(blk.x, 0)) \
-                + 1e-12
-            assert block_concurrence(blk, "paper") == pytest.approx(
-                block_concurrence(blk, "xstate"), abs=1e-12)
+        bound = np.sqrt(np.clip(state.b[1:], 0, None)
+                        * np.clip(state.a[:-1], 0, None))
+        assert np.all(np.abs(state.c) <= bound + 1e-12)
 
 
 def test_clb_zero_for_factored_state():
