@@ -21,7 +21,6 @@ from .model import (
 )
 from .runner import CATALOG, Curve, Scenario, emit_csv, run_scenario
 
-# --- command line ------------------------------------------------------------
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",

@@ -44,9 +44,9 @@ def concurrence_lower_bound(state: BlockState, include_n0: bool = True):
 
     keep = t >= _WEIGHT_FLOOR
     weight = np.where(keep, t, 0.0)
-    raw = 2.0 * (np.minimum(az, np.sqrt(w * x)) - np.sqrt(v * y)) \
-        / np.where(keep, t, 1.0)
+    raw = np.divide(2.0 * (np.minimum(az, np.sqrt(w * x)) - np.sqrt(v * y)),
+                    t, out=np.zeros_like(t), where=keep)
     conc = np.clip(raw, 0.0, 1.0)
     total = np.sum(weight, axis=-1)
-    return _per_row(np.where(total > 0.0, np.sum(conc * weight, axis=-1)
-                             / np.where(total > 0.0, total, 1.0), 0.0))
+    return _per_row(np.divide(np.sum(conc * weight, axis=-1), total,
+                              out=np.zeros_like(total), where=total > 0.0))

@@ -43,8 +43,7 @@ def reduced_states(state: BlockState):
 
 def atomic_inversion(state: BlockState):
     """Population difference w1 - w2 between atomic ground and excited."""
-    _, w1, w2 = reduced_states(state)
-    return w1 - w2
+    return _per_row(np.sum(state.a, axis=-1) - np.sum(state.b, axis=-1))
 
 
 @dataclass(frozen=True)
