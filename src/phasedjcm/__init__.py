@@ -2,7 +2,7 @@
 
 Closed-form block evolution, entropy and correlation functionals, a
 concurrence lower bound, resummed collapse-revival asymptotics, and an
-independent brute-force master-equation integrator, plus a CSV-emitting
+independent exact master-equation oracle, plus a CSV-emitting
 scenario runner.
 """
 
@@ -22,7 +22,6 @@ from .lindblad import (
     dense_from_block,
     dephasing_signs,
     hamiltonian,
-    integrate,
     integrate_path,
     lindblad_rhs,
     liouvillian,
@@ -30,7 +29,6 @@ from .lindblad import (
 )
 from .model import (
     TAIL_TOL,
-    TRACE_TOL,
     BlockState,
     ModelParams,
     ParameterError,
@@ -74,7 +72,6 @@ __all__ = [
     "Scenario",
     "SpectralDecomposition",
     "TAIL_TOL",
-    "TRACE_TOL",
     "TimeSeries",
     "ValidationReport",
     "asymptotic_state",
@@ -90,7 +87,6 @@ __all__ = [
     "entropy_report",
     "envelopes",
     "hamiltonian",
-    "integrate",
     "integrate_path",
     "lindblad_rhs",
     "liouvillian",

@@ -24,8 +24,6 @@ from scipy.special import gammaln, pdtrc
 
 # Default bound on the neglected Poisson weight above the Fock cutoff.
 TAIL_TOL = 1e-12
-# Trace bookkeeping is asserted an order of magnitude looser than the tail.
-TRACE_TOL = 10.0 * TAIL_TOL
 
 # Defaults used by the CLI and by the key=value config reader.
 DEFAULT_KAPPA_BAR = 1.0
@@ -229,12 +227,19 @@ def validate_params(params: ModelParams, tail_tol: float = TAIL_TOL) -> Validati
     only as a warning when it fails, since it is sufficient but not always
     tight for 0 < lam < 1.
     """
+    return _validate(params, tail_tol)[0]
+
+
+def _validate(params: ModelParams, tail_tol: float):
+    """The report of validate_params and the initial state it checked, or
+    None when a check before the positivity test failed."""
     errors = [f"{'lambda' if name == 'lam' else name} must be finite"
               for name in _FLOAT_FIELDS
               if not math.isfinite(getattr(params, name))]
     if errors:
-        return ValidationReport(errors=tuple(errors))
+        return ValidationReport(errors=tuple(errors)), None
     warnings = []
+    state = None
 
     if not params.kappa_bar > 0:
         errors.append("kappa_bar must be positive")
@@ -253,11 +258,19 @@ def validate_params(params: ModelParams, tail_tol: float = TAIL_TOL) -> Validati
     if not (isinstance(params.n_max, (int, np.integer)) and params.n_max >= 1):
         errors.append("n_max must be an integer >= 1")
 
-    # All pair frequencies must be real: the slowest pair already decides.
-    if 4.0 * params.kappa_bar**2 - (0.5 * params.gamma_bar) ** 2 <= 0:
+    # Squares are products, not **, so an overflow reads inf instead of
+    # raising.  All pair frequencies must be real: the slowest pair already
+    # decides.  4 kappa_bar^2 (n_max + 1) bounds every squared frequency and
+    # must stay finite.
+    kappa_sq = params.kappa_bar * params.kappa_bar
+    half_gamma = 0.5 * params.gamma_bar
+    if 4.0 * kappa_sq - half_gamma * half_gamma <= 0:
         errors.append(
             "overdamped: need 4 kappa_bar^2 > (gamma_bar / 2)^2 for every pair"
         )
+    elif not errors and not math.isfinite(4.0 * kappa_sq * (params.n_max + 1)):
+        errors.append("kappa_bar is too large: 4 kappa_bar^2 (n_max + 1) "
+                      "overflows")
 
     if not errors:
         tail = poisson_tail(params.mean_photons, params.n_max)
@@ -291,7 +304,8 @@ def validate_params(params: ModelParams, tail_tol: float = TAIL_TOL) -> Validati
                     "checked directly and decides validity"
                 )
 
-    return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
+    report = ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
+    return report, state
 
 
 def build_initial_state(params: ModelParams) -> BlockState:
@@ -301,8 +315,9 @@ def build_initial_state(params: ModelParams) -> BlockState:
     field; the Bell piece averages |B(n)><B(n)| over the same Poisson
     weights, with |B(n)> = sqrt(q11) |n+1,1> + sqrt(q22) e^{-i phi} |n,2>.
     """
-    validate_params(params).raise_if_invalid()
-    return BlockState(*_initial_arrays(params, params.lam))
+    report, state = _validate(params, TAIL_TOL)
+    report.raise_if_invalid()
+    return state
 
 
 # --- flat key=value config files -------------------------------------------

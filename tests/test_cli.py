@@ -213,13 +213,19 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("--mean-photons", "inf"),
     ("--kappa-bar=-inf",),
     ("--lambda", "nan"),
+    ("--kappa-bar", "1e200"),
+    ("--kappa-bar", "1.7e308"),
 ])
 def test_non_finite_parameters_exit_1(tmp_path, capsys, flags):
+    # A finite coupling whose squared pair frequency overflows counts as
+    # non-finite too.
     out = tmp_path / "out"
-    rc = main(["evolve", *flags, "--tau-max", "1", "--out", str(out)])
+    rc = main(["evolve", "--mean-photons", "2", "--n-max", "30", *flags,
+               "--tau-max", "1", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "must be finite" in err
+    assert err.count("\n") == 1
+    assert "must be finite" in err or "kappa_bar is too large" in err
     assert not out.exists()
 
 
@@ -258,7 +264,7 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
 def test_validate_command_passes_quickly(capsys):
     rc = main(["validate", "--mean-photons", "2", "--n-max", "25",
                "--lambda", "0.9", "--gamma-bar", "0.01",
-               "--tau-max", "2", "--dt", "2e-3"])
+               "--tau-max", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "OK" in out
@@ -268,7 +274,7 @@ def test_validate_command_passes_quickly(capsys):
 
 def test_validate_compares_at_a_fractional_tau_max(capsys):
     rc = main(["validate", "--mean-photons", "2", "--n-max", "25",
-               "--tau-max", "0.5", "--dt", "5e-3"])
+               "--tau-max", "0.5"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("tau =") == 1 and "tau = 0.5:" in out
@@ -290,9 +296,25 @@ def test_validate_without_checkpoints_fails(capsys, tau_max, message):
     assert message in captured.err
 
 
+def test_validate_has_no_step_flag(capsys):
+    # The oracle is exact: there is no step size to choose.
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--dt", "1e-3"])
+    assert err.value.code == 2
+
+
+def test_validate_rejects_an_over_budget_path(capsys):
+    rc = main(["validate", "--kappa-bar", "1e6", "--mean-photons", "5",
+               "--n-max", "30"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "substeps" in captured.err
+
+
 def test_validate_command_fails_on_tight_tolerance(capsys):
     rc = main(["validate", "--mean-photons", "2", "--n-max", "25",
-               "--tau-max", "1", "--dt", "5e-3", "--tol", "1e-300"])
+               "--tau-max", "1", "--tol", "1e-300"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().err
 

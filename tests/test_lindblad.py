@@ -1,6 +1,7 @@
-"""Brute-force master-equation integrator used to certify the closed form."""
+"""Exact master-equation oracle used to certify the closed form."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from phasedjcm import (
     dense_from_block,
     dephasing_signs,
     hamiltonian,
-    integrate,
     integrate_path,
     lindblad_rhs,
     liouvillian,
@@ -84,12 +84,12 @@ def test_pure_dephasing_without_coupling():
     signs = dephasing_signs(5)
     rho0 = random_density(dim, seed=3)
     tau = 1.7
-    rho1 = integrate(rho0, params, tau, dt=1e-3)
+    rho1 = integrate_path(rho0, params, [tau])[0]
     decay = math.exp(-0.3 * tau)
     for j in range(dim):
         for k in range(dim):
             want = rho0[j, k] * (decay if signs[j] != signs[k] else 1.0)
-            assert rho1[j, k] == pytest.approx(want, abs=1e-9)
+            assert rho1[j, k] == pytest.approx(want, abs=1e-13)
 
 
 def test_single_pair_rabi_oscillation():
@@ -100,57 +100,50 @@ def test_single_pair_rabi_oscillation():
     g = basis_index(2, 1)
     rho0[g, g] = 1.0
     for tau in (0.4, 1.1, 2.3):
-        rho1 = integrate(rho0, params, tau, dt=5e-4)
+        rho1 = integrate_path(rho0, params, [tau])[0]
         want = 0.5 * (1.0 + math.cos(2.0 * math.sqrt(3.0) * tau))
-        assert rho1[g, g].real == pytest.approx(want, abs=1e-9)
+        assert rho1[g, g].real == pytest.approx(want, abs=1e-13)
 
 
-def test_integrate_zero_time_and_step_guard():
+def test_integrate_path_zero_time_and_input_guards():
     params = make_params(gamma_bar=0.02, n_max=8)
     rho0 = random_density(space_dim(8), seed=5)
-    np.testing.assert_allclose(integrate(rho0, params, 0.0, dt=1e-3), rho0,
+    np.testing.assert_allclose(integrate_path(rho0, params, [0.0])[0], rho0,
                                atol=1e-15)
-    with pytest.raises(ValueError):
-        integrate(rho0, params, 1.0, dt=0.5)
-    with pytest.raises(ValueError):
-        integrate(rho0, params, 1.0, dt=-1e-3)
+    # Both are rejected before any work: the over-budget path would need
+    # about 1e8 substeps.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="substeps"):
+        integrate_path(rho0, make_params(kappa_bar=1e6, n_max=8), [5.0])
+    bad = rho0.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        integrate_path(bad, params, [1.0])
+    assert time.perf_counter() - start < 5.0
 
 
 def test_trace_preserved_over_long_run():
     params = make_params(gamma_bar=0.05)
     state = build_initial_state(params)
     rho0 = dense_from_block(state)
-    rho1 = integrate(rho0, params, 30.0, dt=1e-3)
+    rho1 = integrate_path(rho0, params, [30.0])[0]
     assert abs(np.trace(rho1).real - 1.0) < 1e-10
     assert abs(np.trace(rho1).imag) < 1e-12
-
-
-def test_fourth_order_convergence():
-    params = make_params(gamma_bar=0.03)
-    state = build_initial_state(params)
-    rho0 = dense_from_block(state)
-    exact = dense_from_block(propagate(state, params, 2.0))
-    errs = []
-    for dt in (4e-3, 2e-3):
-        rho1 = integrate(rho0, params, 2.0, dt=dt)
-        errs.append(float(np.abs(rho1 - exact).max()))
-    ratio = errs[0] / errs[1]
-    assert 8.0 < ratio < 30.0
 
 
 def test_integrate_path_checkpoints_match_single_runs():
     params = make_params(gamma_bar=0.02)
     rho0 = dense_from_block(build_initial_state(params))
     taus = [0.5, 1.25, 2.0]
-    path = integrate_path(rho0, params, taus, dt=1e-3)
+    path = integrate_path(rho0, params, taus)
     assert len(path) == 3
     for tau, rho in zip(taus, path):
-        np.testing.assert_allclose(rho, integrate(rho0, params, tau, dt=1e-3),
+        np.testing.assert_allclose(rho, integrate_path(rho0, params, [tau])[0],
                                    atol=1e-12)
     with pytest.raises(ValueError):
-        integrate_path(rho0, params, [1.0, 0.5], dt=1e-3)
+        integrate_path(rho0, params, [1.0, 0.5])
     with pytest.raises(ValueError):
-        integrate_path(rho0, params, [-1.0], dt=1e-3)
+        integrate_path(rho0, params, [-1.0])
 
 
 def test_compare_states_classifies_deviations():
@@ -160,7 +153,7 @@ def test_compare_states_classifies_deviations():
     report = compare_states(rho0, state)
     assert report.max_abs == 0.0
 
-    evolved = integrate(rho0, params, 3.0, dt=1e-3)
+    evolved = integrate_path(rho0, params, [3.0])[0]
     report = compare_states(evolved, propagate(state, params, 3.0))
     assert report.max_abs < 1e-8
     assert set(report.by_class) == {"a", "b", "c", "off_block"}
@@ -196,6 +189,6 @@ def test_closed_form_matches_integrator():
     state = build_initial_state(params)
     rho0 = dense_from_block(state)
     for tau in (0.7, 3.0):
-        rho1 = integrate(rho0, params, tau, dt=1e-3)
+        rho1 = integrate_path(rho0, params, [tau])[0]
         report = compare_states(rho1, propagate(state, params, tau))
-        assert report.max_abs < 1e-9
+        assert report.max_abs < 1e-12
