@@ -49,12 +49,7 @@ from .observables import (
     reduced_states,
     shannon_entropy,
 )
-from .revival import (
-    RevivalSeries,
-    poisson_sum_inversion,
-    revival_series,
-    revival_times,
-)
+from .revival import poisson_sum_inversion, revival_times
 from .runner import CATALOG, COLUMNS, Curve, Scenario, TimeSeries, emit_csv, run_scenario
 
 __version__ = "0.1.0"
@@ -68,7 +63,6 @@ __all__ = [
     "EntropyReport",
     "ModelParams",
     "ParameterError",
-    "RevivalSeries",
     "Scenario",
     "SpectralDecomposition",
     "TAIL_TOL",
@@ -100,7 +94,6 @@ __all__ = [
     "rabi_frequency",
     "read_config",
     "reduced_states",
-    "revival_series",
     "revival_times",
     "run_scenario",
     "shannon_entropy",

@@ -11,7 +11,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .evolution import propagate
-from .lindblad import compare_states, dense_from_block, integrate_path
+from .lindblad import (
+    MAX_SUBSTEPS,
+    compare_states,
+    dense_from_block,
+    integrate_path,
+)
 from .model import (
     ModelParams,
     ParameterError,
@@ -39,12 +44,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--clb-include-n0", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="include the projection holding the unpaired "
-                        "|0,2> weight")
-    parser.add_argument("--nu-max", type=int, default=5,
-                        help="revival bursts kept in the resummed inversion")
 
 
 def _params_from_args(args) -> ModelParams:
@@ -63,8 +62,7 @@ def _params_from_args(args) -> ModelParams:
 
 
 def _run_and_write(scenario: Scenario, args) -> int:
-    all_series = run_scenario(scenario, clb_include_n0=args.clb_include_n0,
-                              nu_max=args.nu_max)
+    all_series = run_scenario(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for series in all_series:
@@ -119,6 +117,11 @@ def _cmd_validate(args) -> int:
     params = _params_from_args(args)
     if not math.isfinite(args.tau_max):
         raise ValueError("--tau-max must be finite")
+    # Each checkpoint takes at least one substep of the exponential.
+    if args.tau_max > MAX_SUBSTEPS:
+        raise ValueError(f"--tau-max {args.tau_max:g} asks for more than "
+                         f"{MAX_SUBSTEPS} checkpoints, the substep limit of "
+                         "one path")
     # Whole times up to tau_max, and tau_max itself when it is not whole.
     last = math.floor(args.tau_max)
     taus = [float(t) for t in range(1, last + 1)]
@@ -211,7 +214,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

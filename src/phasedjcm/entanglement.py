@@ -18,7 +18,7 @@ from .model import BlockState, _per_row
 _WEIGHT_FLOOR = 1e-14
 
 
-def concurrence_lower_bound(state: BlockState, include_n0: bool = True):
+def concurrence_lower_bound(state: BlockState):
     """Trace-weighted average concurrence over all photon-pair projections.
 
     The projection onto photons {n, n+1} has populations v = b[n],
@@ -27,19 +27,16 @@ def concurrence_lower_bound(state: BlockState, include_n0: bool = True):
     (2 / t) (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to [0, 1].  The min is
     a no-op on every positive semidefinite block, where |z| <= sqrt(w x).
 
-    Runs over n = 0..n_max-1 (or 1..n_max-1 with include_n0=False, which
-    drops the one projection containing the unpaired |0,2> weight).
-    Projections below the weight floor are skipped.  Returns a float, or one
-    value per row of a batched state.
+    Runs over n = 0..n_max-1; projections below the weight floor are
+    skipped.  Returns a float, or one value per row of a batched state.
     """
-    start = 0 if include_n0 else 1
     # Clip tiny negative populations left by round-off before the square
     # roots.
-    v = np.clip(state.b[..., start:-1], 0.0, None)
-    w = np.clip(state.b[..., start + 1:], 0.0, None)
-    x = np.clip(state.a[..., start:-1], 0.0, None)
-    y = np.clip(state.a[..., start + 1:], 0.0, None)
-    az = np.abs(state.c[..., start:])
+    v = np.clip(state.b[..., :-1], 0.0, None)
+    w = np.clip(state.b[..., 1:], 0.0, None)
+    x = np.clip(state.a[..., :-1], 0.0, None)
+    y = np.clip(state.a[..., 1:], 0.0, None)
+    az = np.abs(state.c)
     t = v + w + x + y
 
     keep = t >= _WEIGHT_FLOOR

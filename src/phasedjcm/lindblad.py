@@ -26,7 +26,7 @@ from .model import BlockState, ModelParams
 # Largest number of Taylor substeps one path may take: test paths at
 # n_max = 60 up to tau = 30 need about 470, and a coupling or a time far
 # beyond that would run for hours instead of failing at once.
-_MAX_SUBSTEPS = 10_000
+MAX_SUBSTEPS = 10_000
 # With ||h L||_1 <= 1, term k is at most 1/k! of the state, below the
 # round-off by k = 19; the cap only ends the loop for non-finite input.
 _MAX_TERMS = 40
@@ -118,11 +118,11 @@ def integrate_path(rho0: np.ndarray, params: ModelParams, taus):
     lop = liouvillian(params)
     norm = float(abs(lop).sum(axis=0).max())
     substeps = np.maximum(1.0, np.ceil(norm * np.diff([0.0] + times)))
-    if not substeps.sum() <= _MAX_SUBSTEPS:
+    if not substeps.sum() <= MAX_SUBSTEPS:
         raise ValueError(
             f"the path needs {substeps.sum():.3g} substeps of the exponential "
             f"(||L||_1 = {norm:.3g}, tau up to {times[-1]:g}), more than "
-            f"{_MAX_SUBSTEPS}"
+            f"{MAX_SUBSTEPS}"
         )
     vec = rho0.ravel()
     out = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SpectralDecomposition, spectral_decompose
+from .evolution import spectral_decompose
 from .model import BlockState, _per_row
 
 # Weights below this are dropped from entropy sums (0 ln 0 := 0, and the
@@ -75,17 +75,10 @@ class EntropyReport:
     inversion: float
 
 
-def entropy_report(
-    state: BlockState, decomp: SpectralDecomposition | None = None
-) -> EntropyReport:
+def entropy_report(state: BlockState) -> EntropyReport:
     """Compute every entropy functional of one state, or of each row of a
-    batched state.
-
-    Pass the state's spectral decomposition if it is already available;
-    otherwise it is computed here.
-    """
-    if decomp is None:
-        decomp = spectral_decompose(state)
+    batched state."""
+    decomp = spectral_decompose(state)
     photon, w1, w2 = reduced_states(state)
     s_atom = shannon_entropy(np.stack([w1, w2], axis=-1))
     s_rad = shannon_entropy(photon)

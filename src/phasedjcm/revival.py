@@ -12,8 +12,6 @@ large N and times up to a few revivals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,36 +30,17 @@ def revival_times(params: ModelParams, nu_max: int) -> np.ndarray:
     return 2.0 * math.pi * nu * math.sqrt(params.mean_photons) / params.kappa_bar
 
 
-@dataclass(frozen=True)
-class RevivalSeries:
-    """Callable pieces of the resummed inversion.
+def poisson_sum_inversion(params: ModelParams, tau, nu_max: int = 5,
+                          lam=None):
+    """The resummed inversion at tau: the constant offset from the unpaired
+    |0,2> weight, the collapse burst at tau = 0 and the first nu_max revival
+    bursts, added in that order.
 
-    constant_term holds the time-independent offset from the unpaired |0,2>
-    weight (one per mixture weight when built for several); collapse_term
-    is the tau = 0 burst; revivals[k] is the burst centered at tau_rev[k].
-    Each callable accepts a scalar or array tau.
-    """
-
-    constant_term: float | np.ndarray
-    collapse_term: Callable
-    revivals: tuple
-    tau_rev: np.ndarray
-
-    def __call__(self, tau):
-        out = self.constant_term + self.collapse_term(tau)
-        for burst in self.revivals:
-            out = out + burst(tau)
-        return out
-
-
-def revival_series(params: ModelParams, nu_max: int = 5,
-                   lam=None) -> RevivalSeries:
-    """Build the resummed inversion for an undamped run.
-
-    ``lam`` replaces ``params.lam`` when given; a 1-D array of mixture
-    weights makes every term return one value per weight (at a scalar tau).
-    Only gamma_bar == 0 is supported: damping deforms every pair frequency
-    and envelope, and this expansion does not model that.
+    ``tau`` is a scalar or an array; ``lam`` replaces ``params.lam`` when
+    given and may be an array of mixture weights, broadcast against tau.
+    Returns a float when both are scalars.  Only gamma_bar == 0 is
+    supported: damping deforms every pair frequency and envelope, and this
+    expansion does not model that.
     """
     if params.gamma_bar != 0:
         raise ValueError("revival asymptotics require gamma_bar == 0")
@@ -69,61 +48,37 @@ def revival_series(params: ModelParams, nu_max: int = 5,
     big_n = params.mean_photons
     root_n = math.sqrt(big_n)
     lam = params.lam if lam is None else np.asarray(lam, dtype=float)
+    tau = np.asarray(tau, dtype=float)
     p11, p22 = params.p11, params.p22
     q11, q22 = params.q11, params.q22
     bell = 2.0 * lam * math.sqrt(q11 * q22) * math.sin(params.bell_phase)
 
     constant = -0.5 * (1.0 - lam) * p22 * poisson_pmf(big_n, 0)
-
     secular = (1.0 - lam) * (p11 - p22) + lam * (q11 - q22)
     drift = (1.0 - lam) * (3.0 * p11 - p22) + 1.5 * lam * (q11 - q22)
 
-    def collapse(tau):
-        tau = np.asarray(tau, dtype=float)
-        phase = 2.0 * kbar * root_n * tau
-        env = np.exp(-0.5 * (kbar * tau) ** 2)
-        osc = (
-            secular * np.cos(phase)
-            - drift * kbar * tau * np.sin(phase) / (2.0 * root_n)
-            + bell * np.sin(phase)
-        )
-        return np.where(env < _ENVELOPE_FLOOR, 0.0, osc * env)
+    phase = 2.0 * kbar * root_n * tau
+    env = np.exp(-0.5 * (kbar * tau) ** 2)
+    osc = (
+        secular * np.cos(phase)
+        - drift * kbar * tau * np.sin(phase) / (2.0 * root_n)
+        + bell * np.sin(phase)
+    )
+    out = constant + np.where(env < _ENVELOPE_FLOOR, 0.0, osc * env)
 
-    centers = revival_times(params, nu_max)
-
-    def make_burst(nu: int, tau_nu: float):
+    norm = 1.0 / math.sqrt(math.pi * big_n)
+    cos_amp_sq = (1.0 - lam) * p11 + lam * (q11 - q22)
+    cos_amp_0 = -(1.0 - lam) * p22
+    for nu, tau_nu in enumerate(revival_times(params, nu_max), start=1):
         width = kbar**2 / (2.0 * math.pi**2 * nu**2)
         prefac = kbar / (2.0 * math.pi * math.sqrt(float(nu) ** 3))
-        norm = 1.0 / math.sqrt(math.pi * big_n)
-        cos_amp_sq = (1.0 - lam) * p11 + lam * (q11 - q22)
-        cos_amp_0 = -(1.0 - lam) * p22
-
-        def burst(tau):
-            tau = np.asarray(tau, dtype=float)
-            env = norm * np.exp(-width * (tau - tau_nu) ** 2)
-            ratio_sq = (tau / tau_nu) ** 2
-            carrier = kbar**2 * tau**2 / (2.0 * math.pi * nu) - 0.25 * math.pi
-            osc = (
-                (cos_amp_sq * ratio_sq + cos_amp_0) * np.cos(carrier)
-                + bell * ratio_sq * np.sin(carrier)
-            )
-            return np.where(env < _ENVELOPE_FLOOR, 0.0, prefac * tau * env * osc)
-
-        return burst
-
-    bursts = tuple(make_burst(nu, t) for nu, t in enumerate(centers, start=1))
-    return RevivalSeries(
-        constant_term=constant,
-        collapse_term=collapse,
-        revivals=bursts,
-        tau_rev=centers,
-    )
-
-
-def poisson_sum_inversion(params: ModelParams, tau, nu_max: int = 5):
-    """Evaluate the resummed inversion at tau (scalar or array)."""
-    series = revival_series(params, nu_max)
-    out = series(np.asarray(tau, dtype=float))
-    if np.ndim(tau) == 0:
-        return float(out)
-    return out
+        env = norm * np.exp(-width * (tau - tau_nu) ** 2)
+        ratio_sq = (tau / tau_nu) ** 2
+        carrier = kbar**2 * tau**2 / (2.0 * math.pi * nu) - 0.25 * math.pi
+        osc = (
+            (cos_amp_sq * ratio_sq + cos_amp_0) * np.cos(carrier)
+            + bell * ratio_sq * np.sin(carrier)
+        )
+        out = out + np.where(env < _ENVELOPE_FLOOR, 0.0,
+                             prefac * tau * env * osc)
+    return float(out) if np.ndim(out) == 0 else out

@@ -11,22 +11,16 @@ digits and line-feed endings so repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .entanglement import concurrence_lower_bound
 from .evolution import propagate
-from .model import (
-    BlockState,
-    ModelParams,
-    ParameterError,
-    _initial_arrays,
-    build_initial_state,
-    validate_params,
-)
+from .model import ModelParams, build_initial_state
 from .observables import entropy_report
-from .revival import poisson_sum_inversion, revival_series
+from .revival import poisson_sum_inversion
 
 COLUMNS = (
     "clb",
@@ -82,6 +76,8 @@ class Scenario:
         if self.stop < self.start:
             raise ValueError(f"{self.name}: empty grid")
         ratio = (self.stop - self.start) / self.step
+        if not math.isfinite(ratio):
+            raise ValueError(f"{self.name}: grid has too many points")
         count = math.floor(ratio * (1.0 + _GRID_SLACK)) + 1
         return self.start + self.step * np.arange(count)
 
@@ -97,72 +93,48 @@ class TimeSeries:
     columns: dict
 
 
-def _evaluate(grid: np.ndarray, n_max: int, states, include_n0: bool) -> dict:
-    """Every column but the overlay along ``grid``.
+def _run_curve(scenario: Scenario, curve: Curve,
+               grid: np.ndarray) -> TimeSeries:
+    """Every column along ``grid``, evaluated one block of rows at a time.
 
-    ``states(points)`` returns the batched state at a block of grid points.
+    The sweeps differ only in the batched state at a block of grid points:
+    the initial state propagated to each tau, or the validated initial state
+    at each lambda (where tau = 0).
     """
+    params = curve.params
+    if scenario.sweep == "tau":
+        initial = build_initial_state(params)
+        # Every sample is reached in one exact step from tau = 0; no error
+        # accumulates along the grid.
+        states = partial(propagate, initial, params)
+        tau, lam = grid, None
+    else:
+        states = partial(build_initial_state, params)
+        tau, lam = 0.0, grid
     cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}
-    rows = max(1, _BLOCK_ENTRIES // (n_max + 1))
+    rows = max(1, _BLOCK_ENTRIES // (params.n_max + 1))
     for lo in range(0, grid.size, rows):
         block = slice(lo, lo + rows)
         state = states(grid[block])
         rep = entropy_report(state)
-        cols["clb"][block] = concurrence_lower_bound(state,
-                                                     include_n0=include_n0)
+        cols["clb"][block] = concurrence_lower_bound(state)
         for name in COLUMNS[1:-1]:
             cols[name][block] = getattr(rep, name)
-    return cols
-
-
-def _run_tau_curve(scenario: Scenario, curve: Curve, grid: np.ndarray,
-                   include_n0: bool, nu_max: int) -> TimeSeries:
-    params = curve.params
-    initial = build_initial_state(params)
-    # Every sample is reached in one exact step from tau = 0; no error
-    # accumulates along the grid.
-    cols = _evaluate(grid, params.n_max,
-                     lambda taus: propagate(initial, params, taus),
-                     include_n0)
     if params.gamma_bar == 0:
-        cols["inversion_asym"] = poisson_sum_inversion(params, grid,
-                                                       nu_max=nu_max)
+        cols["inversion_asym"] = poisson_sum_inversion(params, tau, lam=lam)
     else:
         # The resummed inversion is undamped-only; mark it absent.
         cols["inversion_asym"] = np.full(grid.size, math.nan)
-    return TimeSeries(scenario.name, curve.label, "tau", grid, cols)
+    return TimeSeries(scenario.name, curve.label, scenario.sweep, grid, cols)
 
 
-def _run_lambda_curve(scenario: Scenario, curve: Curve, grid: np.ndarray,
-                      include_n0: bool, nu_max: int) -> TimeSeries:
-    params = curve.params
-    # One validation per curve: every check but the range of lambda reads
-    # the same at every weight, and the initial state is affine in lambda
-    # between two positive states, so the first weight plus the range check
-    # on the last one cover the whole grid.
-    validate_params(replace(params, lam=float(grid[0]))).raise_if_invalid()
-    if grid[-1] > 1.0:
-        raise ParameterError("lambda must lie in [0, 1]")
-    cols = _evaluate(grid, params.n_max,
-                     lambda lams: BlockState(*_initial_arrays(params, lams)),
-                     include_n0)
-    if params.gamma_bar == 0:
-        cols["inversion_asym"] = revival_series(params, nu_max, lam=grid)(0.0)
-    else:
-        cols["inversion_asym"] = np.full(grid.size, math.nan)
-    return TimeSeries(scenario.name, curve.label, "lambda", grid, cols)
-
-
-def run_scenario(scenario: Scenario, clb_include_n0: bool = True,
-                 nu_max: int = 5) -> list:
+def run_scenario(scenario: Scenario) -> list:
     """Evaluate every curve of a scenario; returns one TimeSeries per curve,
     in the scenario's curve order."""
     if scenario.sweep not in ("tau", "lambda"):
         raise ValueError(f"unknown sweep kind {scenario.sweep!r}")
     grid = scenario.grid()
-    runner = _run_tau_curve if scenario.sweep == "tau" else _run_lambda_curve
-    return [runner(scenario, curve, grid, clb_include_n0, nu_max)
-            for curve in scenario.curves]
+    return [_run_curve(scenario, curve, grid) for curve in scenario.curves]
 
 
 def emit_csv(series: TimeSeries, path) -> None:

@@ -246,6 +246,46 @@ def test_bad_grid_exits_1_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--tau-max", "1e15", "--tau-step", "1"],
+    ["sweep-clb", "--lambda-step", "1e-15"],
+    ["evolve", "--tau-max", "1e300", "--tau-step", "1e-300"],
+])
+def test_grid_too_large_exits_1_without_output(tmp_path, capsys, argv):
+    # 1e15 points would take 7.11 PiB; the last grid's point count is not
+    # even a finite number.
+    out = tmp_path / "out"
+    rc = main([*argv, "--mean-photons", "2", "--n-max", "30",
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--lambda-stop", "1.5"),
+    ("--lambda-start=-0.5",),
+])
+def test_lambda_sweep_outside_unit_interval_exits_1(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    rc = main(["sweep-clb", "--mean-photons", "2", "--n-max", "30", *flags,
+               "--lambda-step", "0.25", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lambda must lie in [0, 1]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--nu-max=3", "--no-clb-include-n0"])
+def test_run_commands_have_no_overlay_or_projection_flags(tmp_path, flag):
+    # The catalog and every documented run use the defaults only.
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", flag, "--out", str(tmp_path)])
+    assert err.value.code == 2
+
+
 def test_tau_override_rejected_for_lambda_sweeps(tmp_path, capsys):
     rc = main(["scenario", "fig1a", "--tau-max", "5", "--out", str(tmp_path)])
     assert rc == 1
@@ -310,6 +350,17 @@ def test_validate_rejects_an_over_budget_path(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "substeps" in captured.err
+
+
+def test_validate_rejects_more_checkpoints_than_substeps(capsys):
+    # Refused before the list of 1e9 checkpoints is built.
+    rc = main(["validate", "--mean-photons", "2", "--n-max", "25",
+               "--tau-max", "1e9"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "checkpoints" in captured.err
 
 
 def test_validate_command_fails_on_tight_tolerance(capsys):

@@ -126,14 +126,6 @@ def test_clb_decreases_with_mean_photons():
     assert all(first > second for first, second in zip(values, values[1:]))
 
 
-def test_clb_include_n0_flag_changes_weighting():
-    state = build_initial_state(make_params(lam=1.0))
-    full = concurrence_lower_bound(state, include_n0=True)
-    trimmed = concurrence_lower_bound(state, include_n0=False)
-    assert full != trimmed
-    assert 0.0 <= trimmed <= 1.0
-
-
 def test_clb_stays_in_unit_interval_along_evolution():
     params = make_params(mean_photons=5.0, lam=0.9, gamma_bar=0.01)
     state = build_initial_state(params)

@@ -59,6 +59,18 @@ def test_rabi_frequency_domain_error():
         rabi_frequency(p, -1)
 
 
+@pytest.mark.parametrize("kappa_bar, gamma_bar", [
+    (1e200, 0.0), (1.7e308, 0.0), (1.0, 1e200), (math.nan, 0.0),
+])
+def test_rabi_frequency_rejects_a_radicand_that_is_not_finite(kappa_bar,
+                                                              gamma_bar):
+    # A squared rate that overflows must give the documented ValueError,
+    # not an OverflowError or a nan frequency.
+    p = make_params(kappa_bar=kappa_bar, gamma_bar=gamma_bar, n_max=30)
+    with pytest.raises(ValueError, match="not finite"):
+        rabi_frequency(p, 0)
+
+
 def test_envelopes_limits():
     p = make_params(gamma_bar=0.02)
     wp, wm, v = envelopes(p, 3, 0.0)

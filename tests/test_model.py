@@ -61,7 +61,7 @@ def test_poisson_pmf_domain_errors():
 
 
 def test_default_n_max_keeps_tail_small():
-    for mean in (0.5, 2.0, 5.0, 20.0):
+    for mean in (0.5, 2.0, 5.0, 20.0, 1e3, 1e4, 1e5):
         assert poisson_tail(mean, default_n_max(mean)) < TAIL_TOL
 
 
@@ -130,6 +130,33 @@ def test_validate_rejects_thin_truncation():
 def test_build_initial_state_propagates_validation():
     with pytest.raises(ParameterError):
         build_initial_state(make_params(gamma_bar=5.0))
+
+
+def test_batched_initial_state_equals_one_build_per_weight():
+    params = make_params(p11=0.3, q11=0.7)
+    lams = np.linspace(0.0, 1.0, 7)
+    batch = build_initial_state(params, lams)
+    assert batch.a.shape == (lams.size, params.n_max + 1)
+    for i, lam in enumerate(lams):
+        one = build_initial_state(make_params(p11=0.3, q11=0.7, lam=lam))
+        for got, want in zip((batch.a[i], batch.b[i], batch.c[i]),
+                             (one.a, one.b, one.c)):
+            np.testing.assert_array_equal(got, want)
+    # the weights replace params.lam, whatever it holds
+    nan_lam = make_params(p11=0.3, q11=0.7, lam=math.nan)
+    np.testing.assert_array_equal(build_initial_state(nan_lam, lams).a,
+                                  batch.a)
+
+
+@pytest.mark.parametrize("lams, message", [
+    ([0.0, 0.5, 1.5], "lambda must lie in"),
+    ([-0.25, 0.5, 1.0], "lambda must lie in"),
+    ([0.0, math.nan, 1.0], "lambda must be finite"),
+    ([0.0, 0.5, math.inf], "lambda must be finite"),
+])
+def test_batched_initial_state_validates_every_weight(lams, message):
+    with pytest.raises(ParameterError, match=message):
+        build_initial_state(make_params(), np.array(lams))
 
 
 def test_valid_params_give_positive_blocks():

@@ -15,7 +15,6 @@ from phasedjcm import (
     propagate,
     reduced_states,
     shannon_entropy,
-    spectral_decompose,
 )
 
 
@@ -85,7 +84,7 @@ def test_entropy_of_factored_state():
 def test_joint_entropy_of_pure_bell_mixture():
     params = make_params(lam=1.0, q11=0.5)
     state = build_initial_state(params)
-    rep = entropy_report(state, spectral_decompose(state))
+    rep = entropy_report(state)
     pn = poisson_pmf(5.0, np.arange(params.n_max + 1))
     poisson_shannon = float(-np.sum(pn[pn > 0] * np.log(pn[pn > 0])))
     assert rep.s_joint == pytest.approx(poisson_shannon, abs=1e-10)

@@ -1,13 +1,19 @@
-"""Property tests over the valid parameter box, large N included.
+"""Property tests over the valid parameter box, large N included, and over
+the command line with any flag values.
 
 Every drawn parameter set is valid: the initial state is a convex mix of
 positive pieces, and kappa_bar >= 0.2 with gamma_bar <= 0.2 keeps every pair
 underdamped.  The batched path is checked row by row against scalar calls,
-which stay the reference.
+which stay the reference.  The command-line property draws flag values from
+the whole float line, nan and +-inf included.
 """
 
+import contextlib
+import io
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,6 +30,7 @@ from phasedjcm import (
     propagate,
     run_scenario,
 )
+from phasedjcm.cli import main
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
                              derandomize=True)
@@ -90,10 +97,10 @@ def test_trace_and_block_positivity(params, taus):
 
 
 @PROPERTY_SETTINGS
-@given(valid_params(), times, st.booleans())
-def test_clb_inside_unit_interval(params, taus, include_n0):
+@given(valid_params(), times)
+def test_clb_inside_unit_interval(params, taus):
     states = propagate(build_initial_state(params), params, np.array(taus))
-    clb = concurrence_lower_bound(states, include_n0=include_n0)
+    clb = concurrence_lower_bound(states)
     assert np.all((clb >= 0.0) & (clb <= 1.0))
 
 
@@ -135,3 +142,45 @@ def test_runner_rows_equal_scalar_evaluation(params):
                 assert asym == poisson_sum_inversion(point, asym_tau)
             else:
                 assert math.isnan(asym)
+
+
+PARAM_FLAGS = ("--kappa-bar", "--gamma-bar", "--mean-photons", "--lambda",
+               "--p11", "--q11", "--bell-phase")
+flag_values = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e200,
+                     1e150, 1e-300, 0.0, -1.0, 0.25, 0.5, 1.5, 7.0]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(("evolve", "sweep-clb")),
+       st.dictionaries(st.sampled_from(PARAM_FLAGS),
+                       st.tuples(flag_values,
+                                 st.sampled_from((True, True, True, False)))))
+def test_cli_ends_in_an_exit_code_for_any_flag_values(command, flags):
+    """0, or 1 with one stderr line and no CSV, or argparse's exit 2."""
+    grid = (["--tau-max", "0.5", "--tau-step", "0.25"] if command == "evolve"
+            else ["--lambda-step", "0.5"])
+    argv = [command, "--n-max", "30", *grid]
+    for flag, (value, joined) in flags.items():
+        # "--flag -1e+300" is a usage error; "--flag=-1e+300" reaches the
+        # parameter checks.
+        argv += [f"{flag}={value!r}"] if joined else [flag, repr(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:
+                assert exc.code == 2
+                return
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().count("\n") == 1
+            assert not out.exists()
+        else:
+            assert len(list(out.glob("*.csv"))) == 1

@@ -13,7 +13,6 @@ from phasedjcm import (
     poisson_pmf,
     poisson_sum_inversion,
     propagate,
-    revival_series,
     revival_times,
 )
 
@@ -82,10 +81,16 @@ def test_reduces_to_classic_excited_atom_series():
 
 def test_burst_amplitudes_decay_with_order():
     params = make_params()
-    series = revival_series(params, nu_max=3)
-    tau1 = series.tau_rev[0]
+    tau1 = revival_times(params, 1)[0]
     grid = np.arange(0.0, 3.0 * tau1, 0.02)
-    peak = [float(np.abs(burst(grid)).max()) for burst in series.revivals]
+    series = [poisson_sum_inversion(params, grid, nu_max=nu)
+              for nu in (1, 2, 3)]
+    # Burst nu is the series with nu bursts less the one with nu - 1; the
+    # first is the one-burst series past tau1 / 2, where the collapse term
+    # has died out.
+    bursts = (np.where(grid > 0.5 * tau1, series[0], 0.0),
+              series[1] - series[0], series[2] - series[1])
+    peak = [float(np.abs(burst).max()) for burst in bursts]
     assert peak[0] > peak[1] > peak[2]
 
 
