@@ -24,7 +24,6 @@ from .lindblad import (
     hamiltonian,
     integrate_path,
     lindblad_rhs,
-    liouvillian,
     space_dim,
 )
 from .model import (
@@ -83,7 +82,6 @@ __all__ = [
     "hamiltonian",
     "integrate_path",
     "lindblad_rhs",
-    "liouvillian",
     "space_dim",
     "load_params",
     "params_from_mapping",

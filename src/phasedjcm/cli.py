@@ -27,15 +27,17 @@ from .model import (
 from .runner import CATALOG, Curve, Scenario, emit_csv, run_scenario
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+def _add_param_flags(parser: argparse.ArgumentParser,
+                     lam: bool = True) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="key=value parameter file (keys are the "
                         "ModelParams fields; the mixture weight is 'lambda')")
     parser.add_argument("--kappa-bar", type=float, dest="kappa_bar")
     parser.add_argument("--gamma-bar", type=float, dest="gamma_bar")
     parser.add_argument("--mean-photons", type=float, dest="mean_photons")
-    parser.add_argument("--lambda", type=float, dest="lam",
-                        help="Bell-piece mixture weight in [0, 1]")
+    if lam:
+        parser.add_argument("--lambda", type=float, dest="lam",
+                            help="Bell-piece mixture weight in [0, 1]")
     parser.add_argument("--p11", type=float)
     parser.add_argument("--q11", type=float)
     parser.add_argument("--bell-phase", type=float, dest="bell_phase")
@@ -104,6 +106,11 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_sweep_clb(args) -> int:
+    # The swept grid replaces the mixture weight, so a fixed one is an
+    # error rather than silently ignored.
+    if args.config and "lambda" in read_config(args.config):
+        raise ParameterError(f"{args.config}: sweep-clb sweeps lambda; "
+                             "set --lambda-start/--lambda-stop instead")
     params = _params_from_args(args)
     scenario = Scenario(
         name="sweep-clb", sweep="lambda", start=args.lambda_start,
@@ -185,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep-clb",
                         help="scan the initial state over lambda")
-    _add_param_flags(sw)
+    _add_param_flags(sw, lam=False)
     _add_run_flags(sw)
     sw.add_argument("--lambda-start", type=float, default=0.0)
     sw.add_argument("--lambda-stop", type=float, default=1.0)

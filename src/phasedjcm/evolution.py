@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockState, ModelParams, _per_row
+from .model import BlockState, ModelParams, _pair_eigenvalues, _per_row
 
 
 def rabi_frequency(params: ModelParams, n):
@@ -139,10 +139,15 @@ class SpectralDecomposition:
     psi: np.ndarray
     b0: float | np.ndarray
 
-    def eigenvalues(self) -> np.ndarray:
-        """All joint eigenvalues along the last axis (b0 first)."""
-        return np.concatenate(
-            [np.asarray(self.b0)[..., None], self.lam_a, self.lam_b], axis=-1)
+
+def _padded_blocks(state: BlockState):
+    """(a, b_hi, c) of every 2x2 block [[a, c], [c*, b_hi]] along the last
+    axis; truncation leaves a[n_max] unpaired, so it is a block against an
+    empty level."""
+    edge = np.zeros(state.a.shape[:-1] + (1,))
+    b_hi = np.concatenate([state.b[..., 1:], edge], axis=-1)
+    c = np.concatenate([state.c, edge], axis=-1)
+    return state.a, b_hi, c
 
 
 def spectral_decompose(state: BlockState) -> SpectralDecomposition:
@@ -151,20 +156,12 @@ def spectral_decompose(state: BlockState) -> SpectralDecomposition:
     Degenerate uncoupled blocks (equal populations, zero coherence) get
     theta = psi = 0.
     """
-    a = state.a
-    # Truncation leaves a[n_max] unpaired.
-    edge = np.zeros(a.shape[:-1] + (1,))
-    b_hi = np.concatenate([state.b[..., 1:], edge], axis=-1)
-    c = np.concatenate([state.c, edge], axis=-1)
-
-    half_sum = 0.5 * (a + b_hi)
-    disc = np.sqrt(0.25 * (a - b_hi) ** 2 + np.abs(c) ** 2)
-    theta = 0.5 * np.arctan2(-2.0 * np.abs(c), a - b_hi)
-    psi = np.arctan2(c.imag, c.real)
+    a, b_hi, c = _padded_blocks(state)
+    lam_a, lam_b = _pair_eigenvalues(a, b_hi, c)
     return SpectralDecomposition(
-        lam_a=half_sum + disc,
-        lam_b=half_sum - disc,
-        theta=theta,
-        psi=psi,
+        lam_a=lam_a,
+        lam_b=lam_b,
+        theta=0.5 * np.arctan2(-2.0 * np.abs(c), a - b_hi),
+        psi=np.arctan2(c.imag, c.real),
         b0=_per_row(state.b[..., 0]),
     )

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 # Bound on the neglected Poisson weight above the Fock cutoff.
 TAIL_TOL = 1e-12
@@ -93,29 +92,98 @@ class ModelParams:
         return 1.0 - self.q11
 
 
-def poisson_pmf(mean: float, n):
-    """Poisson weight mean^n e^-mean / n! evaluated in log space.
+# Stirling-series error log(n!) - log(sqrt(2 pi n) (n/e)^n) at n = 1..15,
+# where the asymptotic series below is not yet accurate to round-off.
+_STIRLERR_SMALL = np.array([
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
-    Stays finite and accurate far into the tail (n >> mean), where the naive
-    product over/underflows.  Accepts a scalar or an integer array for ``n``
-    and returns a matching scalar or array.
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for whole numbers n >= 1.
+
+    Above 15 the series 1/(12 n) - 1/(360 n^3) + ... to its n^-9 term
+    leaves an error below 1e-16.
     """
-    if mean <= 0:
-        raise ValueError("Poisson mean must be positive")
+    nn = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn))
+                                   / nn) / nn) / nn) / n
+    table = _STIRLERR_SMALL[np.clip(n, 1, 15).astype(int) - 1]
+    return np.where(n <= 15, table, series)
+
+
+def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
+    """x log(x / mean) + mean - x, the deviance term, without cancellation.
+
+    Near the mean it is summed as d v + 2 x (v^3 / 3 + v^5 / 5 + ...) with
+    d = x - mean and v = d / (x + mean); |v| < 0.1 there, so nine terms
+    reach round-off.
+    """
+    d = x - mean
+    v = d / (x + mean)
+    v2 = v * v
+    odd = 0.0
+    for k in range(19, 1, -2):
+        odd = (odd + 1.0 / k) * v2
+    near = d * v + 2.0 * x * v * odd
+    # x / mean overflows only for a subnormal mean, where inf is right.
+    with np.errstate(over="ignore"):
+        direct = x * np.log(x / mean) + mean - x
+    return np.where(np.abs(d) < 0.1 * (x + mean), near, direct)
+
+
+def poisson_pmf(mean: float, n):
+    """Poisson weight mean^n e^-mean / n! in Loader's saddle-point form.
+
+    exp(-stirlerr(n) - bd0(n, mean)) / sqrt(2 pi n) (C. Loader, "Fast and
+    Accurate Computation of Binomial Probabilities", 2000) has no
+    cancellation: measured against 40-digit values, the relative error
+    stays below 1e-13 for means up to 100 and below 2e-12 up to 1e5, far
+    into the tail where the naive product over/underflows.  Accepts a whole
+    number or an integer array for ``n`` and returns a matching scalar or
+    array.
+    """
+    if not 0.0 < mean < math.inf:
+        raise ValueError("Poisson mean must be positive and finite")
     arr = np.asarray(n, dtype=float)
     if np.any(arr < 0):
         raise ValueError("photon number must be non-negative")
-    out = np.exp(arr * math.log(mean) - mean - gammaln(arr + 1.0))
+    if np.any(arr != np.floor(arr)):
+        raise ValueError("photon number must be a whole number")
+    # n = 0 is exp(-mean); the saddle-point form needs n >= 1.
+    x = np.maximum(arr, 1.0)
+    out = np.exp(-_stirlerr(x) - _bd0(x, mean)) / np.sqrt(2.0 * math.pi * x)
+    out = np.where(arr == 0, math.exp(-mean), out)
     if np.ndim(n) == 0:
         return float(out)
     return out
 
 
 def poisson_tail(mean: float, n_max: int) -> float:
-    """Total Poisson weight strictly above n_max."""
-    if mean <= 0:
-        raise ValueError("Poisson mean must be positive")
-    return float(pdtrc(n_max, mean))
+    """Total Poisson weight strictly above n_max.
+
+    Sums the weights above n_max, or, when n_max lies below the mean, takes
+    the complement of the weights up to n_max, so no sum cancels.  Moving
+    away from the mean the weights fall off like a Gaussian of width
+    sqrt(mean) for large means and faster than geometrically for small
+    ones, so 12 sqrt(mean) + 40 of them reach round-off.  They are summed
+    in chunks of at most 2^15 entries; the cost grows as sqrt(mean).
+    """
+    if not 0.0 < mean < math.inf:
+        raise ValueError("Poisson mean must be positive and finite")
+    width = math.ceil(12.0 * math.sqrt(mean) + 40.0)
+    above = n_max >= mean
+    first = n_max + 1 if above else max(0, n_max + 1 - width)
+    stop = n_max + 1 + width if above else n_max + 1
+    total = 0.0
+    for lo in range(first, stop, 2**15):
+        chunk = np.arange(lo, min(lo + 2**15, stop))
+        total += float(np.sum(poisson_pmf(mean, chunk)))
+    return total if above else 1.0 - total
 
 
 def _per_row(values):
@@ -170,11 +238,18 @@ class BlockState:
 
     def min_eigenvalue(self):
         """Smallest eigenvalue over all 2x2 blocks and unpaired levels."""
-        a, b_hi, c = self.a[..., :-1], self.b[..., 1:], self.c
-        disc = np.sqrt(0.25 * (a - b_hi) ** 2 + np.abs(c) ** 2)
-        lo = np.min(0.5 * (a + b_hi) - disc, axis=-1)
+        _, lower = _pair_eigenvalues(self.a[..., :-1], self.b[..., 1:], self.c)
+        lo = np.min(lower, axis=-1)
         return _per_row(np.minimum(lo, np.minimum(self.b[..., 0],
                                                   self.a[..., -1])))
+
+
+def _pair_eigenvalues(a, b_hi, c):
+    """Eigenvalues (upper, lower) of the 2x2 blocks [[a, c], [c*, b_hi]],
+    elementwise."""
+    half_sum = 0.5 * (a + b_hi)
+    disc = np.sqrt(0.25 * (a - b_hi) ** 2 + np.abs(c) ** 2)
+    return half_sum + disc, half_sum - disc
 
 
 def _initial_arrays(params: ModelParams, lam: np.ndarray):
@@ -279,6 +354,9 @@ def _validate(params: ModelParams, lam):
                       "overflows")
 
     if not errors:
+        # The state's arrays come first: the tail then never costs more
+        # than they do, and an n_max too large to hold fails at once.
+        arrays = _initial_arrays(params, lam)
         tail = poisson_tail(params.mean_photons, params.n_max)
         if tail >= TAIL_TOL:
             errors.append(
@@ -287,7 +365,7 @@ def _validate(params: ModelParams, lam):
             )
 
     if not errors:
-        state = BlockState(*_initial_arrays(params, lam))
+        state = BlockState(*arrays)
         lowest = float(np.min(state.min_eigenvalue()))
         if lowest < -1e-12:
             errors.append(

@@ -3,8 +3,8 @@
 All entropies are Shannon/von Neumann in nats.  Because the joint state is
 block diagonal and both marginals are diagonal in their natural bases, every
 entropy reduces to a Shannon sum over known weights; nothing here
-diagonalizes more than the 2x2 blocks already handled by
-``spectral_decompose``.
+diagonalizes more than the 2x2 blocks whose eigenvalues
+``spectral_decompose`` also gives.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import spectral_decompose
-from .model import BlockState, _per_row
+from .evolution import _padded_blocks
+from .model import BlockState, _pair_eigenvalues, _per_row
 
 # Weights below this are dropped from entropy sums (0 ln 0 := 0, and the
 # logarithm would otherwise overflow for denormals).
@@ -78,11 +78,12 @@ class EntropyReport:
 def entropy_report(state: BlockState) -> EntropyReport:
     """Compute every entropy functional of one state, or of each row of a
     batched state."""
-    decomp = spectral_decompose(state)
+    lam_a, lam_b = _pair_eigenvalues(*_padded_blocks(state))
     photon, w1, w2 = reduced_states(state)
     s_atom = shannon_entropy(np.stack([w1, w2], axis=-1))
     s_rad = shannon_entropy(photon)
-    s_joint = shannon_entropy(decomp.eigenvalues())
+    s_joint = shannon_entropy(
+        np.concatenate([state.b[..., :1], lam_a, lam_b], axis=-1))
     s_dec = shannon_entropy(np.concatenate([state.a, state.b], axis=-1))
     return EntropyReport(
         s_atom=s_atom,

@@ -37,8 +37,12 @@ COLUMNS = (
 
 # Entries (rows times n_max + 1) of one evaluated block.  Blocks of this
 # size run as fast as one block holding the whole curve, at a small
-# fraction of its peak memory.
-_BLOCK_ENTRIES = 2**14
+# fraction of its peak memory.  A complex temporary of the block takes
+# 16 bytes an entry, 120 KiB here: below glibc's 128 KiB mmap threshold,
+# so temporaries reuse heap pages.  Above it each temporary is a fresh
+# mapping whose pages fault in on every block (2^14 entries fault about
+# four times as many pages on fig4b).
+_BLOCK_ENTRIES = 7680
 
 # Relative slack on the point count of a grid, so that a stop that is a
 # whole number of steps away survives the round-off of the division.
@@ -109,6 +113,9 @@ def _run_curve(scenario: Scenario, curve: Curve,
         states = partial(propagate, initial, params)
         tau, lam = grid, None
     else:
+        # Every block validates its weights; the ends of the grid go first,
+        # so a grid that leaves [0, 1] fails before any column exists.
+        build_initial_state(params, grid[[0, -1]])
         states = partial(build_initial_state, params)
         tau, lam = 0.0, grid
     cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,6 +279,40 @@ def test_lambda_sweep_outside_unit_interval_exits_1(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_lambda_sweep_outside_unit_interval_fails_before_any_work(
+        tmp_path, capsys):
+    # 1.5 million weights: the ends are checked before the first block and
+    # before the result columns are allocated.
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    rc = main(["sweep-clb", "--mean-photons", "2", "--lambda-stop", "1.5",
+               "--lambda-step", "1e-6", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lambda must lie in [0, 1]" in err
+    assert elapsed < 0.1
+    assert not out.exists()
+
+
+def test_sweep_clb_takes_no_fixed_lambda(tmp_path, capsys):
+    # The swept grid replaces the mixture weight: the flag does not exist
+    # and a config file that sets it is refused.
+    with pytest.raises(SystemExit) as err:
+        main(["sweep-clb", "--lambda", "0.5", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    capsys.readouterr()
+    config = tmp_path / "params.cfg"
+    config.write_text("mean_photons = 2\nlambda = 0.5\n")
+    out = tmp_path / "out"
+    rc = main(["sweep-clb", "--config", str(config), "--n-max", "30",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sweeps lambda" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--nu-max=3", "--no-clb-include-n0"])
 def test_run_commands_have_no_overlay_or_projection_flags(tmp_path, flag):
     # The catalog and every documented run use the defaults only.
@@ -376,6 +411,19 @@ def test_list_command(capsys):
     for name in CATALOG:
         assert name in out
     assert "custom" in out
+
+
+def test_package_imports_no_scipy():
+    src = str(Path(phasedjcm.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, phasedjcm, phasedjcm.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -16,10 +16,10 @@ from phasedjcm import (
     hamiltonian,
     integrate_path,
     lindblad_rhs,
-    liouvillian,
     propagate,
     space_dim,
 )
+from phasedjcm.lindblad import _generator
 
 
 def make_params(**overrides):
@@ -64,16 +64,33 @@ def test_dephasing_signs_alternate():
     np.testing.assert_array_equal(signs, [-1, 1, -1, 1, -1, 1, -1, 1])
 
 
-def test_rhs_is_traceless_and_matches_liouvillian():
+def test_rhs_is_traceless_and_matches_the_generator():
     params = make_params(gamma_bar=0.04, n_max=7)
     dim = space_dim(7)
     rho = random_density(dim, seed=11)
     rhs = lindblad_rhs(rho, params)
     assert abs(np.trace(rhs)) < 1e-13
     assert np.allclose(rhs, rhs.conj().T, atol=1e-13)
-    lv = liouvillian(params)
-    np.testing.assert_allclose(np.asarray(lv @ rho.reshape(-1)),
-                               rhs.reshape(-1), atol=1e-13)
+    apply, _ = _generator(params)
+    np.testing.assert_allclose(apply(rho), rhs, atol=1e-13)
+
+
+def test_generator_norm_bound_covers_the_exact_norm():
+    # Column (j, k) of L is lindblad_rhs applied to the basis matrix E_jk;
+    # the 1-norm is the largest column sum of |L|.
+    params = make_params(gamma_bar=0.3, n_max=3)
+    dim = space_dim(3)
+    columns = []
+    for j in range(dim):
+        for k in range(dim):
+            basis = np.zeros((dim, dim), dtype=complex)
+            basis[j, k] = 1.0
+            columns.append(np.abs(lindblad_rhs(basis, params)).sum())
+    exact = max(columns)
+    _, bound = _generator(params)
+    assert exact > 0
+    # The two sums add the same magnitudes in different orders.
+    assert bound >= exact * (1.0 - 1e-15)
 
 
 def test_pure_dephasing_without_coupling():

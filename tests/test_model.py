@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -58,6 +59,56 @@ def test_poisson_pmf_domain_errors():
         poisson_pmf(0.0, 1)
     with pytest.raises(ValueError):
         poisson_pmf(5.0, -1)
+    with pytest.raises(ValueError):
+        poisson_pmf(5.0, 1.5)
+    with pytest.raises(ValueError):
+        poisson_tail(0.0, 3)
+
+
+def _mp_pmf(mean, n):
+    with mpmath.workdps(40):
+        return mpmath.exp(n * mpmath.log(mean) - mean
+                          - mpmath.loggamma(n + 1))
+
+
+@pytest.mark.parametrize("mean, rel", [
+    (0.3, 1e-13), (2.0, 1e-13), (5.0, 1e-13), (20.0, 1e-13), (37.7, 1e-13),
+    (100.0, 1e-13), (1e3, 5e-12), (1e4, 5e-12), (1e5, 5e-12),
+])
+def test_poisson_pmf_matches_mpmath(mean, rel):
+    # Every n from 0 to 16 (the small-n table and its edge), the mean, and
+    # 61 points spread up to the default cutoff; weights that underflow
+    # below 1e-300 lose their relative precision in any float form.
+    n_max = default_n_max(mean)
+    ns = np.unique(np.concatenate([
+        np.arange(17), [math.floor(mean), math.ceil(mean)],
+        np.linspace(0, n_max, 61).round()]).astype(int))
+    for n, got in zip(ns, poisson_pmf(mean, ns)):
+        want = _mp_pmf(mean, int(n))
+        if want >= 1e-300:
+            assert abs(got - want) <= rel * want, (n, got, want)
+
+
+@pytest.mark.parametrize("mean", [1e3, 1e4, 1e5])
+def test_poisson_weights_and_tail_sum_to_one(mean):
+    n_max = default_n_max(mean)
+    total = float(np.sum(poisson_pmf(mean, np.arange(n_max + 1))))
+    assert abs(total + poisson_tail(mean, n_max) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("mean, n_max", [
+    (0.3, 0), (2.0, 0), (2.0, 1), (5.0, 2), (5.0, 5), (5.0, 52), (20.0, 10),
+    (20.0, 19), (20.0, 20), (20.0, 40), (20.0, 94), (100.0, 80),
+    (100.0, 99), (100.0, 130), (1e3, 950), (1e3, 1000), (1e3, 1400),
+    (1e4, 9900), (1e4, 10100), (1e4, 11220),
+])
+def test_poisson_tail_matches_mpmath(mean, n_max):
+    # The regularized lower incomplete gamma P(n_max + 1, N) is the weight
+    # above n_max; n_max < N takes the complement branch.
+    with mpmath.workdps(40):
+        want = mpmath.gammainc(n_max + 1, 0, mean, regularized=True)
+    got = poisson_tail(mean, n_max)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_default_n_max_keeps_tail_small():
