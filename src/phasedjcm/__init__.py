@@ -8,12 +8,10 @@ scenario runner.
 
 from .entanglement import concurrence_lower_bound
 from .evolution import (
-    SpectralDecomposition,
     asymptotic_state,
     envelopes,
     propagate,
     rabi_frequency,
-    spectral_decompose,
 )
 from .lindblad import (
     ComparisonReport,
@@ -34,7 +32,6 @@ from .model import (
     ValidationReport,
     build_initial_state,
     default_n_max,
-    load_params,
     params_from_mapping,
     poisson_pmf,
     poisson_tail,
@@ -43,7 +40,6 @@ from .model import (
 )
 from .observables import (
     EntropyReport,
-    atomic_inversion,
     entropy_report,
     reduced_states,
     shannon_entropy,
@@ -63,12 +59,10 @@ __all__ = [
     "ModelParams",
     "ParameterError",
     "Scenario",
-    "SpectralDecomposition",
     "TAIL_TOL",
     "TimeSeries",
     "ValidationReport",
     "asymptotic_state",
-    "atomic_inversion",
     "basis_index",
     "build_initial_state",
     "compare_states",
@@ -83,7 +77,6 @@ __all__ = [
     "integrate_path",
     "lindblad_rhs",
     "space_dim",
-    "load_params",
     "params_from_mapping",
     "poisson_pmf",
     "poisson_sum_inversion",
@@ -95,6 +88,5 @@ __all__ = [
     "revival_times",
     "run_scenario",
     "shannon_entropy",
-    "spectral_decompose",
     "validate_params",
 ]

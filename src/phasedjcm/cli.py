@@ -18,6 +18,7 @@ from .lindblad import (
     integrate_path,
 )
 from .model import (
+    _PARAMS,
     ModelParams,
     ParameterError,
     build_initial_state,
@@ -32,16 +33,11 @@ def _add_param_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--config", metavar="FILE",
                         help="key=value parameter file (keys are the "
                         "ModelParams fields; the mixture weight is 'lambda')")
-    parser.add_argument("--kappa-bar", type=float, dest="kappa_bar")
-    parser.add_argument("--gamma-bar", type=float, dest="gamma_bar")
-    parser.add_argument("--mean-photons", type=float, dest="mean_photons")
-    if lam:
-        parser.add_argument("--lambda", type=float, dest="lam",
-                            help="Bell-piece mixture weight in [0, 1]")
-    parser.add_argument("--p11", type=float)
-    parser.add_argument("--q11", type=float)
-    parser.add_argument("--bell-phase", type=float, dest="bell_phase")
-    parser.add_argument("--n-max", type=int, dest="n_max")
+    for _, key, default in _PARAMS:
+        if lam or key != "lambda":
+            parser.add_argument("--" + key.replace("_", "-"), type=float,
+                                help=f"default {default:g}")
+    parser.add_argument("--n-max", type=int)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -53,11 +49,8 @@ def _params_from_args(args) -> ModelParams:
     # then tracks whatever mean_photons ends up being, unless n_max was set
     # explicitly in either place.
     mapping = read_config(args.config) if args.config else {}
-    for attr, key in (("kappa_bar", "kappa_bar"), ("gamma_bar", "gamma_bar"),
-                      ("mean_photons", "mean_photons"), ("lam", "lambda"),
-                      ("p11", "p11"), ("q11", "q11"),
-                      ("bell_phase", "bell_phase"), ("n_max", "n_max")):
-        value = getattr(args, attr, None)
+    for key in [key for _, key, _ in _PARAMS] + ["n_max"]:
+        value = getattr(args, key, None)
         if value is not None:
             mapping[key] = value
     return params_from_mapping(mapping)
@@ -75,16 +68,7 @@ def _run_and_write(scenario: Scenario, args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    if args.name == "custom":
-        params = _params_from_args(args)
-        stop = 70.0 if params.mean_photons >= 10 else 30.0
-        scenario = Scenario(
-            name="custom", sweep="tau", start=0.0, stop=stop, step=0.05,
-            curves=(Curve("custom", params),),
-            description="single curve from a config file",
-        )
-    else:
-        scenario = CATALOG[args.name]
+    scenario = CATALOG[args.name]
     if args.tau_max is not None or args.tau_step is not None:
         if scenario.sweep != "tau":
             raise ValueError(f"{scenario.name} sweeps lambda, not tau")
@@ -162,7 +146,6 @@ def _cmd_list(args) -> int:
         print(f"  {axis} grid [{scenario.start:g}, {scenario.stop:g}] "
               f"step {scenario.step:g}; shows {', '.join(scenario.shows)}")
         print(f"  curves: {', '.join(c.label for c in scenario.curves)}")
-    print("custom: single curve from a config file (see 'scenario custom')")
     return 0
 
 
@@ -175,8 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sc = sub.add_parser("scenario", help="run a catalog scenario")
-    sc.add_argument("name", choices=tuple(CATALOG) + ("custom",))
-    _add_param_flags(sc)
+    sc.add_argument("name", choices=tuple(CATALOG))
     _add_run_flags(sc)
     sc.add_argument("--tau-max", type=float, dest="tau_max")
     sc.add_argument("--tau-step", type=float, dest="tau_step")

@@ -1,4 +1,4 @@
-"""Closed-form evolution and diagonalization of the block state.
+"""Closed-form evolution of the block state.
 
 Each pair {|n,1>, |n+1,2>} is an isolated two-level system: the coupling
 rotates its population difference into the coherence at the reduced pair
@@ -10,11 +10,11 @@ arbitrary times are reached in a single call with no stepping error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .model import BlockState, ModelParams, _pair_eigenvalues, _per_row
+from .model import BlockState, ModelParams
 
 
 def rabi_frequency(params: ModelParams, n):
@@ -47,11 +47,17 @@ def envelopes(params: ModelParams, n, tau: float):
     """The three oscillation envelopes (W+, W-, V) of pair n at time tau.
 
     V = sin(E tau) / E and W+- = cos(E tau) +- (gamma_bar / 2) V.  Shapes
-    follow ``n``.
+    follow ``n``.  Raises ValueError when a phase E tau is not finite.
     """
     e = rabi_frequency(params, n)
-    v = np.sin(tau * e) / e
-    cos = np.cos(tau * e)
+    # The fastest pair at the latest time has the largest phase; the sine
+    # and cosine of an overflowed one would be nan.
+    if not math.isfinite(float(np.max(np.abs(tau))) * float(np.max(e))):
+        raise ValueError("phase E tau is not finite: tau is nan or too large "
+                         "for the pair frequencies")
+    phase = tau * e
+    v = np.sin(phase) / e
+    cos = np.cos(phase)
     half_rate = 0.5 * params.gamma_bar
     return cos + half_rate * v, cos - half_rate * v, v
 
@@ -117,51 +123,3 @@ def asymptotic_state(state: BlockState, params: ModelParams) -> BlockState:
     a = np.concatenate([mean, state.a[..., -1:]], axis=-1)
     b = np.concatenate([state.b[..., :1], mean], axis=-1)
     return BlockState(a=a, b=b, c=np.zeros(state.c.shape, dtype=complex))
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues and eigenvector angles of every 2x2 block.
-
-    Pair n has eigenvalues lam_a[n] >= lam_b[n]; with theta defined through
-    tan(2 theta) = -2|c| / (a - b_next) (so theta <= 0) and psi = arg c, the
-    eigenvectors in the ordered pair basis are
-    (cos theta, -sin theta e^{-i psi}) and (sin theta e^{i psi}, cos theta).
-    b0 is the unpaired |0,2> weight.  The top entry a[n_max] is included as
-    pair n_max against an empty partner level, so b0 plus all lam_a and
-    lam_b sum to the trace exactly.  For a batched state every field has
-    the state's leading batch axis, and b0 is an array of one weight per row.
-    """
-
-    lam_a: np.ndarray
-    lam_b: np.ndarray
-    theta: np.ndarray
-    psi: np.ndarray
-    b0: float | np.ndarray
-
-
-def _padded_blocks(state: BlockState):
-    """(a, b_hi, c) of every 2x2 block [[a, c], [c*, b_hi]] along the last
-    axis; truncation leaves a[n_max] unpaired, so it is a block against an
-    empty level."""
-    edge = np.zeros(state.a.shape[:-1] + (1,))
-    b_hi = np.concatenate([state.b[..., 1:], edge], axis=-1)
-    c = np.concatenate([state.c, edge], axis=-1)
-    return state.a, b_hi, c
-
-
-def spectral_decompose(state: BlockState) -> SpectralDecomposition:
-    """Diagonalize all 2x2 blocks at once.
-
-    Degenerate uncoupled blocks (equal populations, zero coherence) get
-    theta = psi = 0.
-    """
-    a, b_hi, c = _padded_blocks(state)
-    lam_a, lam_b = _pair_eigenvalues(a, b_hi, c)
-    return SpectralDecomposition(
-        lam_a=lam_a,
-        lam_b=lam_b,
-        theta=0.5 * np.arctan2(-2.0 * np.abs(c), a - b_hi),
-        psi=np.arctan2(c.imag, c.real),
-        b0=_per_row(state.b[..., 0]),
-    )

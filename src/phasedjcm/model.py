@@ -24,14 +24,19 @@ import numpy as np
 # Bound on the neglected Poisson weight above the Fock cutoff.
 TAIL_TOL = 1e-12
 
-# Defaults used by the CLI and by the key=value config reader.
-DEFAULT_KAPPA_BAR = 1.0
-DEFAULT_GAMMA_BAR = 0.0
-DEFAULT_MEAN_PHOTONS = 5.0
-DEFAULT_LAM = 0.0
-DEFAULT_P11 = 0.8
-DEFAULT_Q11 = 0.5
-DEFAULT_BELL_PHASE = math.pi / 6.0
+# The real-valued parameters, each once: (ModelParams field, key in config
+# files, flags and messages, default).  "lambda" is reserved in Python, so
+# the mixture weight's field is called lam.  The command line registers the
+# flag --<key with "-" for "_"> for each entry.
+_PARAMS = (
+    ("kappa_bar", "kappa_bar", 1.0),
+    ("gamma_bar", "gamma_bar", 0.0),
+    ("mean_photons", "mean_photons", 5.0),
+    ("lam", "lambda", 0.0),
+    ("p11", "p11", 0.8),
+    ("q11", "q11", 0.5),
+    ("bell_phase", "bell_phase", math.pi / 6.0),
+)
 
 
 class ParameterError(ValueError):
@@ -290,10 +295,6 @@ class ValidationReport:
             raise ParameterError("; ".join(self.errors))
 
 
-_FLOAT_FIELDS = ("kappa_bar", "gamma_bar", "mean_photons", "lam", "p11",
-                 "q11", "bell_phase")
-
-
 def validate_params(params: ModelParams) -> ValidationReport:
     """Check finiteness, ranges, underdamping, truncation, and initial-state
     positivity.
@@ -312,10 +313,9 @@ def _validate(params: ModelParams, lam):
     test failed.  A 1-D array of weights is checked weight by weight and
     gives the batched state."""
     lam = np.asarray(lam, dtype=float)
-    values = {name: getattr(params, name) for name in _FLOAT_FIELDS}
-    values["lam"] = lam
-    errors = [f"{'lambda' if name == 'lam' else name} must be finite"
-              for name, value in values.items()
+    values = {key: lam if name == "lam" else getattr(params, name)
+              for name, key, _ in _PARAMS}
+    errors = [f"{key} must be finite" for key, value in values.items()
               if not np.all(np.isfinite(value))]
     if errors:
         return ValidationReport(errors=tuple(errors)), None
@@ -411,40 +411,18 @@ def build_initial_state(params: ModelParams, lam=None) -> BlockState:
 
 # --- flat key=value config files -------------------------------------------
 
-_CONFIG_FLOAT_KEYS = (
-    "kappa_bar",
-    "gamma_bar",
-    "mean_photons",
-    "lambda",
-    "p11",
-    "q11",
-    "bell_phase",
-)
-
-
 def params_from_mapping(mapping: dict) -> ModelParams:
     """Build ModelParams from string key=value pairs, applying defaults."""
-    defaults = {
-        "kappa_bar": DEFAULT_KAPPA_BAR,
-        "gamma_bar": DEFAULT_GAMMA_BAR,
-        "mean_photons": DEFAULT_MEAN_PHOTONS,
-        "lambda": DEFAULT_LAM,
-        "p11": DEFAULT_P11,
-        "q11": DEFAULT_Q11,
-        "bell_phase": DEFAULT_BELL_PHASE,
-    }
-    unknown = set(mapping) - set(_CONFIG_FLOAT_KEYS) - {"n_max"}
+    unknown = set(mapping) - {key for _, key, _ in _PARAMS} - {"n_max"}
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    for key in _CONFIG_FLOAT_KEYS:
-        raw = mapping.get(key, defaults[key])
+    for name, key, default in _PARAMS:
+        raw = mapping.get(key, default)
         try:
-            value = float(raw)
+            kwargs[name] = float(raw)
         except (TypeError, ValueError):
             raise ParameterError(f"config key {key!r}: not a number: {raw!r}")
-        # "lambda" is reserved in Python; the field is called lam.
-        kwargs["lam" if key == "lambda" else key] = value
     if "n_max" in mapping:
         try:
             kwargs["n_max"] = int(mapping["n_max"])
@@ -471,9 +449,3 @@ def read_config(path) -> dict:
             key, _, value = line.partition("=")
             mapping[key.strip()] = value.strip()
     return mapping
-
-
-def load_params(path) -> ModelParams:
-    """Read ModelParams from a flat key=value file; missing keys fall back
-    to the module defaults."""
-    return params_from_mapping(read_config(path))

@@ -3,8 +3,7 @@
 All entropies are Shannon/von Neumann in nats.  Because the joint state is
 block diagonal and both marginals are diagonal in their natural bases, every
 entropy reduces to a Shannon sum over known weights; nothing here
-diagonalizes more than the 2x2 blocks whose eigenvalues
-``spectral_decompose`` also gives.
+diagonalizes more than the 2x2 blocks.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _padded_blocks
 from .model import BlockState, _pair_eigenvalues, _per_row
 
 # Weights below this are dropped from entropy sums (0 ln 0 := 0, and the
@@ -39,11 +37,6 @@ def reduced_states(state: BlockState):
     photon = state.a + state.b
     return (photon, _per_row(np.sum(state.a, axis=-1)),
             _per_row(np.sum(state.b, axis=-1)))
-
-
-def atomic_inversion(state: BlockState):
-    """Population difference w1 - w2 between atomic ground and excited."""
-    return _per_row(np.sum(state.a, axis=-1) - np.sum(state.b, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,13 @@ class EntropyReport:
 def entropy_report(state: BlockState) -> EntropyReport:
     """Compute every entropy functional of one state, or of each row of a
     batched state."""
-    lam_a, lam_b = _pair_eigenvalues(*_padded_blocks(state))
+    # Truncation leaves a[n_max] unpaired: it enters as a block against an
+    # empty level, so b[0] and the two eigenvalues of every block make up
+    # the whole spectrum.
+    edge = np.zeros(state.a.shape[:-1] + (1,))
+    lam_a, lam_b = _pair_eigenvalues(
+        state.a, np.concatenate([state.b[..., 1:], edge], axis=-1),
+        np.concatenate([state.c, edge], axis=-1))
     photon, w1, w2 = reduced_states(state)
     s_atom = shannon_entropy(np.stack([w1, w2], axis=-1))
     s_rad = shannon_entropy(photon)

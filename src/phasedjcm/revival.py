@@ -38,9 +38,9 @@ def poisson_sum_inversion(params: ModelParams, tau, nu_max: int = 5,
 
     ``tau`` is a scalar or an array; ``lam`` replaces ``params.lam`` when
     given and may be an array of mixture weights, broadcast against tau.
-    Returns a float when both are scalars.  Only gamma_bar == 0 is
-    supported: damping deforms every pair frequency and envelope, and this
-    expansion does not model that.
+    Returns a float when both are scalars, and nan wherever the series
+    overflows.  Only gamma_bar == 0 is supported: damping deforms every
+    pair frequency and envelope, and this expansion does not model that.
     """
     if params.gamma_bar != 0:
         raise ValueError("revival asymptotics require gamma_bar == 0")
@@ -57,28 +57,33 @@ def poisson_sum_inversion(params: ModelParams, tau, nu_max: int = 5,
     secular = (1.0 - lam) * (p11 - p22) + lam * (q11 - q22)
     drift = (1.0 - lam) * (3.0 * p11 - p22) + 1.5 * lam * (q11 - q22)
 
-    phase = 2.0 * kbar * root_n * tau
-    env = np.exp(-0.5 * (kbar * tau) ** 2)
-    osc = (
-        secular * np.cos(phase)
-        - drift * kbar * tau * np.sin(phase) / (2.0 * root_n)
-        + bell * np.sin(phase)
-    )
-    out = constant + np.where(env < _ENVELOPE_FLOOR, 0.0, osc * env)
-
-    norm = 1.0 / math.sqrt(math.pi * big_n)
-    cos_amp_sq = (1.0 - lam) * p11 + lam * (q11 - q22)
-    cos_amp_0 = -(1.0 - lam) * p22
-    for nu, tau_nu in enumerate(revival_times(params, nu_max), start=1):
-        width = kbar**2 / (2.0 * math.pi**2 * nu**2)
-        prefac = kbar / (2.0 * math.pi * math.sqrt(float(nu) ** 3))
-        env = norm * np.exp(-width * (tau - tau_nu) ** 2)
-        ratio_sq = (tau / tau_nu) ** 2
-        carrier = kbar**2 * tau**2 / (2.0 * math.pi * nu) - 0.25 * math.pi
+    # A huge kbar tau flushes the collapse envelope to zero, while for a
+    # tiny N the bursts crowd towards tau = 0 and their amplitudes overflow;
+    # such points are marked absent below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 2.0 * kbar * root_n * tau
+        env = np.exp(-0.5 * (kbar * tau) ** 2)
         osc = (
-            (cos_amp_sq * ratio_sq + cos_amp_0) * np.cos(carrier)
-            + bell * ratio_sq * np.sin(carrier)
+            secular * np.cos(phase)
+            - drift * kbar * tau * np.sin(phase) / (2.0 * root_n)
+            + bell * np.sin(phase)
         )
-        out = out + np.where(env < _ENVELOPE_FLOOR, 0.0,
-                             prefac * tau * env * osc)
+        out = constant + np.where(env < _ENVELOPE_FLOOR, 0.0, osc * env)
+
+        norm = 1.0 / math.sqrt(math.pi * big_n)
+        cos_amp_sq = (1.0 - lam) * p11 + lam * (q11 - q22)
+        cos_amp_0 = -(1.0 - lam) * p22
+        for nu, tau_nu in enumerate(revival_times(params, nu_max), start=1):
+            width = kbar**2 / (2.0 * math.pi**2 * nu**2)
+            prefac = kbar / (2.0 * math.pi * math.sqrt(float(nu) ** 3))
+            env = norm * np.exp(-width * (tau - tau_nu) ** 2)
+            ratio_sq = (tau / tau_nu) ** 2
+            carrier = kbar**2 * tau**2 / (2.0 * math.pi * nu) - 0.25 * math.pi
+            osc = (
+                (cos_amp_sq * ratio_sq + cos_amp_0) * np.cos(carrier)
+                + bell * ratio_sq * np.sin(carrier)
+            )
+            out = out + np.where(env < _ENVELOPE_FLOOR, 0.0,
+                                 prefac * tau * env * osc)
+    out = np.where(np.isfinite(out), out, math.nan)
     return float(out) if np.ndim(out) == 0 else out

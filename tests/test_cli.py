@@ -201,6 +201,16 @@ def test_unknown_scenario_name_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("flags", [("--kappa-bar", "5"),
+                                   ("--config", "x.cfg")])
+def test_scenario_takes_no_parameter_flags(tmp_path, capsys, flags):
+    # A catalog scenario fixes its own parameters; evolve runs a custom one.
+    with pytest.raises(SystemExit) as err:
+        main(["scenario", "fig1a", *flags, "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_invalid_parameters_exit_1(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["evolve", "--p11", "1.5", "--out", str(out)])
@@ -251,10 +261,12 @@ def test_bad_grid_exits_1_without_output(tmp_path, capsys):
     ["evolve", "--tau-max", "1e15", "--tau-step", "1"],
     ["sweep-clb", "--lambda-step", "1e-15"],
     ["evolve", "--tau-max", "1e300", "--tau-step", "1e-300"],
+    ["evolve", "--tau-max", "1.7e308", "--tau-step", "1.7e308"],
 ])
 def test_grid_too_large_exits_1_without_output(tmp_path, capsys, argv):
-    # 1e15 points would take 7.11 PiB; the last grid's point count is not
-    # even a finite number.
+    # 1e15 points would take 7.11 PiB; the third grid's point count is not
+    # even a finite number, and the last one's two points reach a time
+    # whose phase E tau overflows.
     out = tmp_path / "out"
     rc = main([*argv, "--mean-photons", "2", "--n-max", "30",
                "--out", str(out)])
@@ -263,6 +275,40 @@ def test_grid_too_large_exits_1_without_output(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_far_times_run_without_warnings(tmp_path, capsys):
+    # Three points up to tau = 1e300: the phases stay finite and the
+    # collapse envelope of the overlay flushes to zero.
+    out = tmp_path / "out"
+    rc = main(["evolve", "--mean-photons", "2", "--n-max", "30",
+               "--tau-max", "1e300", "--tau-step", "5e299",
+               "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "evolve__custom.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert "nan" not in "".join(rows) and "inf" not in "".join(rows)
+
+
+def test_overlay_overflow_at_tiny_mean_is_marked_absent(tmp_path):
+    # For N = 1e-300 the revival bursts overflow at tau > 0; the overlay is
+    # nan there, with no warning, even when warnings are errors.
+    src = str(Path(phasedjcm.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "phasedjcm.cli", "evolve",
+         "--mean-photons", "1e-300", "--n-max", "30", "--tau-max", "0.5",
+         "--tau-step", "0.25", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    text = (tmp_path / "evolve__custom.csv").read_text()
+    assert "inf" not in text
+    overlay = [line.split(",")[-1] for line in text.splitlines()[1:]]
+    assert overlay == ["0.5", "nan", "nan"]
 
 
 @pytest.mark.parametrize("flags", [
@@ -410,7 +456,8 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for name in CATALOG:
         assert name in out
-    assert "custom" in out
+    # evolve runs a single custom curve; there is no custom scenario.
+    assert "custom" not in out
 
 
 def test_package_imports_no_scipy():

@@ -12,11 +12,13 @@ from phasedjcm import (
     ModelParams,
     asymptotic_state,
     build_initial_state,
+    dense_from_block,
+    entropy_report,
     envelopes,
     poisson_pmf,
     propagate,
     rabi_frequency,
-    spectral_decompose,
+    shannon_entropy,
 )
 
 
@@ -214,58 +216,42 @@ def test_propagate_converges_to_asymptotic_state():
     assert max_state_dev(far, lim) < 1e-3
 
 
-def test_spectral_decompose_diagonal_block():
+def test_block_spectrum_of_a_diagonal_state():
     state = BlockState(
         a=np.array([0.4, 0.2, 0.05]),
         b=np.array([0.05, 0.2, 0.1]),
         c=np.zeros(2, dtype=complex),
     )
-    dec = spectral_decompose(state)
-    # block 0: a=0.4 > b[1]=0.2, c=0 -> already diagonal, theta = 0
-    assert dec.lam_a[0] == pytest.approx(0.4, abs=1e-15)
-    assert dec.lam_b[0] == pytest.approx(0.2, abs=1e-15)
-    assert dec.theta[0] == 0.0
-    assert dec.psi[0] == 0.0
-    assert dec.b0 == pytest.approx(0.05, abs=0)
+    # Without coherences every block is already diagonal, so the spectrum
+    # is the diagonal itself, the unpaired b0 = 0.05 included.
+    rep = entropy_report(state)
+    assert rep.s_joint == pytest.approx(
+        shannon_entropy([0.05, 0.4, 0.2, 0.2, 0.1, 0.05]), abs=1e-15)
+    assert rep.deficit == pytest.approx(0.0, abs=1e-15)
+    assert state.min_eigenvalue() == pytest.approx(0.05, abs=1e-15)
 
 
-def test_spectral_decompose_pure_bell_mixture():
+def test_block_spectrum_of_a_pure_bell_mixture():
     p = make_params(lam=1.0, q11=0.5)
-    dec = spectral_decompose(build_initial_state(p))
+    state = build_initial_state(p)
     pn = poisson_pmf(5.0, np.arange(p.n_max + 1))
-    # every paired block is pure with weight p(n)
-    np.testing.assert_allclose(dec.lam_a[:-1], pn[:-1], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(dec.lam_b[:-1], 0.0, rtol=0, atol=1e-16)
-    assert dec.b0 == 0.0
+    # Every paired block is pure with weight p(n); b0 is empty and
+    # a[n_max] = q11 p(n_max) is left unpaired by the truncation.
+    assert state.b[0] == 0.0
+    assert entropy_report(state).s_joint == pytest.approx(
+        shannon_entropy(np.append(pn[:-1], 0.5 * pn[-1])), abs=1e-14)
+    assert abs(state.min_eigenvalue()) <= 1e-16
 
 
 def test_spectral_sums_match_block_traces():
+    # The dense matrix knows nothing of the blocks: its spectrum must be
+    # the one the block formulas give.
     rng = np.random.default_rng(11)
     for _ in range(20):
         s = random_block_state(rng)
-        dec = spectral_decompose(s)
-        np.testing.assert_allclose(
-            dec.lam_a[:-1] + dec.lam_b[:-1], s.a[:-1] + s.b[1:],
-            rtol=0, atol=1e-12,
-        )
-        assert np.all(dec.lam_a >= dec.lam_b - 1e-15)
-        assert np.all(dec.lam_b >= -1e-12)
-        total = dec.b0 + dec.lam_a.sum() + dec.lam_b.sum()
-        assert total == pytest.approx(s.trace(), abs=1e-12)
-
-
-def test_spectral_angles_solve_eigenproblem():
-    # the (theta, psi) pair must reproduce actual eigenvectors of each block
-    rng = np.random.default_rng(5)
-    s = random_block_state(rng)
-    dec = spectral_decompose(s)
-    for n in range(s.n_max):
-        blk = np.array([[s.a[n], s.c[n]], [np.conj(s.c[n]), s.b[n + 1]]])
-        vec_a = np.array([math.cos(dec.theta[n]),
-                          -math.sin(dec.theta[n]) * np.exp(-1j * dec.psi[n])])
-        vec_b = np.array([math.sin(dec.theta[n]) * np.exp(1j * dec.psi[n]),
-                          math.cos(dec.theta[n])])
-        np.testing.assert_allclose(blk @ vec_a, dec.lam_a[n] * vec_a,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(blk @ vec_b, dec.lam_b[n] * vec_b,
-                                   rtol=0, atol=1e-12)
+        spectrum = np.linalg.eigvalsh(dense_from_block(s))
+        assert spectrum.sum() == pytest.approx(s.trace(), abs=1e-12)
+        assert entropy_report(s).s_joint == pytest.approx(
+            shannon_entropy(spectrum), abs=1e-12)
+        assert s.min_eigenvalue() == pytest.approx(spectrum[0], abs=1e-12)
+        assert s.min_eigenvalue() >= -1e-12

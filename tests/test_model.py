@@ -14,10 +14,10 @@ from phasedjcm import (
     ParameterError,
     build_initial_state,
     default_n_max,
-    load_params,
     params_from_mapping,
     poisson_pmf,
     poisson_tail,
+    read_config,
     validate_params,
 )
 
@@ -253,7 +253,7 @@ def test_config_round_trip(tmp_path):
         "bell_phase = 0.5235987755982988\n"
         "n_max = 60\n"
     )
-    params = load_params(cfg)
+    params = params_from_mapping(read_config(cfg))
     assert params.lam == 0.9
     assert params.n_max == 60
     assert params.gamma_bar == 0.01
@@ -268,4 +268,4 @@ def test_config_defaults_and_unknown_keys(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("just some words\n")
     with pytest.raises(ParameterError):
-        load_params(bad)
+        params_from_mapping(read_config(bad))

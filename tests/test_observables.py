@@ -8,7 +8,6 @@ import pytest
 from phasedjcm import (
     ModelParams,
     asymptotic_state,
-    atomic_inversion,
     build_initial_state,
     entropy_report,
     poisson_pmf,
@@ -49,25 +48,26 @@ def test_reduced_states_initial_marginals():
 
 def test_atomic_inversion_pure_ground():
     params = make_params(lam=0.0, p11=1.0)
-    assert atomic_inversion(build_initial_state(params)) == pytest.approx(
-        1.0, abs=1e-12)
+    assert entropy_report(build_initial_state(params)).inversion == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_atomic_inversion_null_by_symmetry():
     # equal-weight real Bell mixture balances every pair at all times
     params = make_params(lam=1.0, q11=0.5, bell_phase=0.0)
     state = build_initial_state(params)
-    for tau in np.arange(0.0, 12.0, 0.4):
-        assert abs(atomic_inversion(propagate(state, params, float(tau)))) \
-            < 1e-14
+    taus = np.arange(0.0, 12.0, 0.4)
+    inversion = entropy_report(propagate(state, params, taus)).inversion
+    assert np.all(np.abs(inversion) < 1e-14)
 
 
 def test_inversion_collapses():
     params = make_params(lam=0.0, p11=0.8, mean_photons=20.0)
     state = build_initial_state(params)
     collapsed = propagate(state, params, 3.0)
-    assert abs(atomic_inversion(collapsed)) < 0.02
-    assert abs(atomic_inversion(state)) == pytest.approx(0.6, abs=1e-12)
+    assert abs(entropy_report(collapsed).inversion) < 0.02
+    assert abs(entropy_report(state).inversion) == pytest.approx(0.6,
+                                                                 abs=1e-12)
 
 
 def test_entropy_of_factored_state():

@@ -154,16 +154,47 @@ flag_values = st.one_of(
 )
 
 
+# Fock cutoffs that are invalid, tiny or ordinary.  Each grid has a few
+# points, is refused, or is too large to allocate (1e15 points would take
+# 7.11 PiB); none takes long to run.  Half of the draws keep the ordinary
+# cutoff and grid, so that enough runs get as far as writing a CSV.
+n_max_values = st.one_of(st.just("30"),
+                         st.sampled_from(("-1", "0", "1", "2", "30")))
+grids = {
+    "evolve": st.one_of(
+        st.just(("--tau-max", "0.5", "--tau-step", "0.25")),
+        st.sampled_from([
+            ("--tau-max", tau_max, "--tau-step", tau_step)
+            for tau_max, tau_step in (
+                ("0.5", "0.25"), ("0", "0.25"), ("1", "0.6"), ("-1", "0.25"),
+                ("0.5", "0"), ("0.5", "-0.25"), ("nan", "0.25"),
+                ("inf", "1"), ("0.5", "inf"), ("1e15", "1"),
+                ("1e300", "1e-300"), ("1e300", "5e299"),
+                ("1.7e308", "1.7e308"))
+        ])),
+    "sweep-clb": st.one_of(
+        st.just(("--lambda-step", "0.5")),
+        st.sampled_from([
+            ("--lambda-step", step)
+            for step in ("0.5", "0.25", "1", "2", "inf", "0", "-0.5", "nan",
+                         "1e-15")
+        ])),
+}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from(("evolve", "sweep-clb")),
+@given(st.sampled_from(("evolve", "sweep-clb")).flatmap(
+           lambda command: st.tuples(st.just(command), grids[command])),
+       n_max_values,
        st.dictionaries(st.sampled_from(PARAM_FLAGS),
                        st.tuples(flag_values,
                                  st.sampled_from((True, True, True, False)))))
-def test_cli_ends_in_an_exit_code_for_any_flag_values(command, flags):
-    """0, or 1 with one stderr line and no CSV, or argparse's exit 2."""
-    grid = (["--tau-max", "0.5", "--tau-step", "0.25"] if command == "evolve"
-            else ["--lambda-step", "0.5"])
-    argv = [command, "--n-max", "30", *grid]
+def test_cli_ends_in_an_exit_code_for_any_flag_values(command_and_grid,
+                                                       n_max, flags):
+    """0 with a CSV and a silent stderr, or 1 with one stderr line and no
+    CSV, or argparse's exit 2."""
+    command, grid = command_and_grid
+    argv = [command, f"--n-max={n_max}", *grid]
     for flag, (value, joined) in flags.items():
         if command == "sweep-clb" and flag == "--lambda":
             continue    # sweep-clb has no --lambda; the grid sets the weights
@@ -185,4 +216,5 @@ def test_cli_ends_in_an_exit_code_for_any_flag_values(command, flags):
             assert err.getvalue().count("\n") == 1
             assert not out.exists()
         else:
+            assert err.getvalue() == ""
             assert len(list(out.glob("*.csv"))) == 1
