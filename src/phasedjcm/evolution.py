@@ -14,33 +14,7 @@ import math
 
 import numpy as np
 
-from .model import BlockState, ModelParams
-
-
-def rabi_frequency(params: ModelParams, n):
-    """Damped oscillation frequency E of pair n (the pair holding n+1 quanta).
-
-    Accepts a scalar or array pair index n >= 0.  Raises ValueError when any
-    requested pair is overdamped, i.e. 4 kappa_bar^2 (n+1) <= (gamma_bar/2)^2,
-    or when that radicand is not finite.
-    """
-    arr = np.asarray(n, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("pair index must be non-negative")
-    # Squares are products, not **, so an overflow reads inf instead of
-    # raising.
-    half_gamma = 0.5 * params.gamma_bar
-    radicand = (4.0 * (params.kappa_bar * params.kappa_bar) * (arr + 1.0)
-                - half_gamma * half_gamma)
-    if not np.all(np.isfinite(radicand)):
-        raise ValueError("pair frequency is not finite: 4 kappa_bar^2 (n+1) "
-                         "- (gamma_bar/2)^2 overflows or is nan")
-    if np.any(radicand <= 0):
-        raise ValueError("overdamped pair: 4 kappa_bar^2 (n+1) <= (gamma_bar/2)^2")
-    out = np.sqrt(radicand)
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
+from .model import BlockState, ModelParams, rabi_frequency
 
 
 def envelopes(params: ModelParams, n, tau: float):

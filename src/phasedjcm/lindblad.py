@@ -204,21 +204,16 @@ def compare_states(dense: np.ndarray, block: BlockState) -> ComparisonReport:
         raise ValueError(f"state shape {dense.shape} != ({dim}, {dim})")
     diff = np.abs(dense - dense_from_block(block))
 
-    ground = np.zeros((dim, dim), dtype=bool)
-    excited = np.zeros_like(ground)
-    coherent = np.zeros_like(ground)
-    for n in range(block.n_max + 1):
-        ground[basis_index(n, 1), basis_index(n, 1)] = True
-        excited[basis_index(n, 2), basis_index(n, 2)] = True
-    for n in range(block.n_max):
-        g, e = basis_index(n, 1), basis_index(n + 1, 2)
-        coherent[g, e] = coherent[e, g] = True
-    off = ~(ground | excited | coherent)
-
+    # Labelling the fields a = 1, b = 2, c = 3 shows where dense_from_block
+    # puts each of them.
+    size = block.n_max + 1
+    labels = dense_from_block(BlockState(np.full(size, 1.0),
+                                         np.full(size, 2.0),
+                                         np.full(size - 1, 3.0))).real
     by_class = {
-        "a": float(diff[ground].max()),
-        "b": float(diff[excited].max()),
-        "c": float(diff[coherent].max()),
-        "off_block": float(diff[off].max()),
+        "a": float(diff[labels == 1].max()),
+        "b": float(diff[labels == 2].max()),
+        "c": float(diff[labels == 3].max()),
+        "off_block": float(diff[labels == 0].max()),
     }
     return ComparisonReport(max_abs=float(diff.max()), by_class=by_class)

@@ -141,6 +141,11 @@ def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
     return np.where(np.abs(d) < 0.1 * (x + mean), near, direct)
 
 
+def _per_row(values):
+    """A float for a 0-d result, the array of row values otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def poisson_pmf(mean: float, n):
     """Poisson weight mean^n e^-mean / n! in Loader's saddle-point form.
 
@@ -162,10 +167,7 @@ def poisson_pmf(mean: float, n):
     # n = 0 is exp(-mean); the saddle-point form needs n >= 1.
     x = np.maximum(arr, 1.0)
     out = np.exp(-_stirlerr(x) - _bd0(x, mean)) / np.sqrt(2.0 * math.pi * x)
-    out = np.where(arr == 0, math.exp(-mean), out)
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
+    return _per_row(np.where(arr == 0, math.exp(-mean), out))
 
 
 def poisson_tail(mean: float, n_max: int) -> float:
@@ -189,11 +191,6 @@ def poisson_tail(mean: float, n_max: int) -> float:
         chunk = np.arange(lo, min(lo + 2**15, stop))
         total += float(np.sum(poisson_pmf(mean, chunk)))
     return total if above else 1.0 - total
-
-
-def _per_row(values):
-    """A float for a 0-d result, the array of row values otherwise."""
-    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -243,10 +240,7 @@ class BlockState:
 
     def min_eigenvalue(self):
         """Smallest eigenvalue over all 2x2 blocks and unpaired levels."""
-        _, lower = _pair_eigenvalues(self.a[..., :-1], self.b[..., 1:], self.c)
-        lo = np.min(lower, axis=-1)
-        return _per_row(np.minimum(lo, np.minimum(self.b[..., 0],
-                                                  self.a[..., -1])))
+        return _per_row(np.min(_spectrum(self), axis=-1))
 
 
 def _pair_eigenvalues(a, b_hi, c):
@@ -255,6 +249,44 @@ def _pair_eigenvalues(a, b_hi, c):
     half_sum = 0.5 * (a + b_hi)
     disc = np.sqrt(0.25 * (a - b_hi) ** 2 + np.abs(c) ** 2)
     return half_sum + disc, half_sum - disc
+
+
+def _spectrum(state: BlockState) -> np.ndarray:
+    """All 2 (n_max + 1) eigenvalues of the state along the last axis: the
+    unpaired b[0], the upper eigenvalue of every pair, the unpaired
+    a[n_max] (its partner lies above the truncation), then the lower ones."""
+    upper, lower = _pair_eigenvalues(state.a[..., :-1], state.b[..., 1:],
+                                     state.c)
+    return np.concatenate([state.b[..., :1], upper, state.a[..., -1:], lower],
+                          axis=-1)
+
+
+def rabi_frequency(params: ModelParams, n):
+    """Damped oscillation frequency E of pair n (the pair holding n+1 quanta).
+
+    E(n) = sqrt(4 kappa_bar^2 (n+1) - (gamma_bar/2)^2).  Accepts a scalar or
+    array pair index n >= 0.  Raises ValueError when that radicand is not
+    finite, when kappa_bar^2 is 0, or when any requested pair is
+    overdamped, i.e. 4 kappa_bar^2 (n+1) <= (gamma_bar/2)^2.
+    """
+    arr = np.asarray(n, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("pair index must be non-negative")
+    # Squares are products, not **, so an overflow reads inf instead of
+    # raising.
+    kappa_sq = params.kappa_bar * params.kappa_bar
+    half_gamma = 0.5 * params.gamma_bar
+    coupling = 4.0 * kappa_sq * (arr + 1.0)
+    radicand = coupling - half_gamma * half_gamma
+    if not np.all(np.isfinite(radicand)):
+        rate = "gamma_bar" if np.all(np.isfinite(coupling)) else "kappa_bar"
+        raise ValueError(f"pair frequency is not finite: {rate} is too large "
+                         "or nan")
+    if kappa_sq == 0:
+        raise ValueError("kappa_bar is too small: kappa_bar^2 is 0")
+    if np.any(radicand <= 0):
+        raise ValueError("overdamped pair: 4 kappa_bar^2 (n+1) <= (gamma_bar/2)^2")
+    return _per_row(np.sqrt(radicand))
 
 
 def _initial_arrays(params: ModelParams, lam: np.ndarray):
@@ -289,10 +321,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    def raise_if_invalid(self) -> None:
-        if self.errors:
-            raise ParameterError("; ".join(self.errors))
 
 
 def validate_params(params: ModelParams) -> ValidationReport:
@@ -339,19 +367,13 @@ def _validate(params: ModelParams, lam):
     if not (isinstance(params.n_max, (int, np.integer)) and params.n_max >= 1):
         errors.append("n_max must be an integer >= 1")
 
-    # Squares are products, not **, so an overflow reads inf instead of
-    # raising.  All pair frequencies must be real: the slowest pair already
-    # decides.  4 kappa_bar^2 (n_max + 1) bounds every squared frequency and
-    # must stay finite.
-    kappa_sq = params.kappa_bar * params.kappa_bar
-    half_gamma = 0.5 * params.gamma_bar
-    if 4.0 * kappa_sq - half_gamma * half_gamma <= 0:
-        errors.append(
-            "overdamped: need 4 kappa_bar^2 > (gamma_bar / 2)^2 for every pair"
-        )
-    elif not errors and not math.isfinite(4.0 * kappa_sq * (params.n_max + 1)):
-        errors.append("kappa_bar is too large: 4 kappa_bar^2 (n_max + 1) "
-                      "overflows")
+    if not errors:
+        # The slowest pair decides whether any is overdamped, the fastest
+        # whether any frequency overflows.
+        try:
+            rabi_frequency(params, np.array([0, params.n_max - 1]))
+        except ValueError as exc:
+            errors.append(str(exc))
 
     if not errors:
         # The state's arrays come first: the tail then never costs more
@@ -405,7 +427,8 @@ def build_initial_state(params: ModelParams, lam=None) -> BlockState:
     a batched state, one row per weight, and every weight is validated.
     """
     report, state = _validate(params, params.lam if lam is None else lam)
-    report.raise_if_invalid()
+    if report.errors:
+        raise ParameterError("; ".join(report.errors))
     return state
 
 

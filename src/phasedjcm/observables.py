@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockState, _pair_eigenvalues, _per_row
+from .model import BlockState, _per_row, _spectrum
 
 # Weights below this are dropped from entropy sums (0 ln 0 := 0, and the
 # logarithm would otherwise overflow for denormals).
@@ -71,18 +71,10 @@ class EntropyReport:
 def entropy_report(state: BlockState) -> EntropyReport:
     """Compute every entropy functional of one state, or of each row of a
     batched state."""
-    # Truncation leaves a[n_max] unpaired: it enters as a block against an
-    # empty level, so b[0] and the two eigenvalues of every block make up
-    # the whole spectrum.
-    edge = np.zeros(state.a.shape[:-1] + (1,))
-    lam_a, lam_b = _pair_eigenvalues(
-        state.a, np.concatenate([state.b[..., 1:], edge], axis=-1),
-        np.concatenate([state.c, edge], axis=-1))
     photon, w1, w2 = reduced_states(state)
     s_atom = shannon_entropy(np.stack([w1, w2], axis=-1))
     s_rad = shannon_entropy(photon)
-    s_joint = shannon_entropy(
-        np.concatenate([state.b[..., :1], lam_a, lam_b], axis=-1))
+    s_joint = shannon_entropy(_spectrum(state))
     s_dec = shannon_entropy(np.concatenate([state.a, state.b], axis=-1))
     return EntropyReport(
         s_atom=s_atom,

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, poisson_pmf
+from .model import ModelParams, _per_row, poisson_pmf
 
 # Gaussian factors below this are flushed to zero so that far-off-center
 # bursts contribute exact zeros instead of denormal noise.
@@ -85,5 +85,4 @@ def poisson_sum_inversion(params: ModelParams, tau, nu_max: int = 5,
             )
             out = out + np.where(env < _ENVELOPE_FLOOR, 0.0,
                                  prefac * tau * env * osc)
-    out = np.where(np.isfinite(out), out, math.nan)
-    return float(out) if np.ndim(out) == 0 else out
+    return _per_row(np.where(np.isfinite(out), out, math.nan))

@@ -23,10 +23,10 @@ from phasedjcm import (
     entropy_report,
     integrate_path,
     propagate,
-    rabi_frequency,
-    revival_times,
     run_scenario,
 )
+from phasedjcm.evolution import rabi_frequency
+from phasedjcm.revival import revival_times
 
 
 def check(num, label, ok, detail):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -217,6 +218,13 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     assert rc == 1
     assert "p11" in capsys.readouterr().err
     assert not out.exists()
+    # kappa_bar^2 underflows to 0: the coupling is too weak, not overdamped.
+    rc = main(["evolve", "--kappa-bar", "1e-200", "--tau-max", "1",
+               "--tau-step", "0.5", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "kappa_bar is too small" in err and "overdamped" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -393,6 +401,18 @@ def test_validate_command_passes_quickly(capsys):
     assert "(2 states compared)" in out
 
 
+def test_validate_output_lines_match_the_bench_parser(capsys):
+    # perfbench/checks.py reads a validate run through these two patterns.
+    rc = main(["validate", "--mean-photons", "5", "--n-max", "30",
+               "--tau-max", "2.5", "--lambda", "0.4", "--gamma-bar", "0.05"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        assert (re.match(r"^tau = \S+: max \|diff\| = (\S+)", line)
+                or re.match(r"^OK: max deviation (\S+) < tolerance", line))
+
+
 def test_validate_compares_at_a_fractional_tau_max(capsys):
     rc = main(["validate", "--mean-photons", "2", "--n-max", "25",
                "--tau-max", "0.5"])
@@ -442,6 +462,18 @@ def test_validate_rejects_more_checkpoints_than_substeps(capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "checkpoints" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_validate_rejects_a_tolerance_that_is_not_positive_and_finite(capsys,
+                                                                       tol):
+    # A nan or infinite tolerance would let any deviation print OK.
+    rc = main(["validate", "--mean-photons", "2", "--n-max", "20",
+               "--tau-max", "1", "--tol", tol])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--tol" in captured.err
 
 
 def test_validate_command_fails_on_tight_tolerance(capsys):

@@ -14,12 +14,12 @@ from phasedjcm import (
     build_initial_state,
     dense_from_block,
     entropy_report,
-    envelopes,
     poisson_pmf,
     propagate,
-    rabi_frequency,
-    shannon_entropy,
 )
+from phasedjcm.evolution import envelopes, rabi_frequency
+from phasedjcm.model import _spectrum
+from phasedjcm.observables import shannon_entropy
 
 
 def make_params(**overrides):
@@ -255,3 +255,5 @@ def test_spectral_sums_match_block_traces():
             shannon_entropy(spectrum), abs=1e-12)
         assert s.min_eigenvalue() == pytest.approx(spectrum[0], abs=1e-12)
         assert s.min_eigenvalue() >= -1e-12
+        np.testing.assert_allclose(np.sort(_spectrum(s)), spectrum, rtol=0,
+                                   atol=1e-12)

@@ -8,18 +8,20 @@ import pytest
 
 from phasedjcm import (
     ModelParams,
-    basis_index,
     build_initial_state,
     compare_states,
     dense_from_block,
+    integrate_path,
+    propagate,
+)
+from phasedjcm.lindblad import (
+    _generator,
+    basis_index,
     dephasing_signs,
     hamiltonian,
-    integrate_path,
     lindblad_rhs,
-    propagate,
     space_dim,
 )
-from phasedjcm.lindblad import _generator
 
 
 def make_params(**overrides):

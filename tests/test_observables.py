@@ -12,9 +12,8 @@ from phasedjcm import (
     entropy_report,
     poisson_pmf,
     propagate,
-    reduced_states,
-    shannon_entropy,
 )
+from phasedjcm.observables import reduced_states, shannon_entropy
 
 
 def make_params(**overrides):

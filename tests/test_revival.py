@@ -13,8 +13,8 @@ from phasedjcm import (
     poisson_pmf,
     poisson_sum_inversion,
     propagate,
-    revival_times,
 )
+from phasedjcm.revival import revival_times
 
 
 def make_params(**overrides):
