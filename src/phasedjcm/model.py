@@ -1,4 +1,4 @@
-"""Model parameters and the Bell-mixture initial state.
+"""Model parameters, pair frequencies and the Bell-mixture initial state.
 
 A two-level atom is coupled resonantly to a single radiation mode while the
 atom undergoes pure phase damping.  Everything is dimensionless: time tau is
