@@ -5,6 +5,7 @@ and check the closed form against the exact master-equation oracle.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -149,7 +150,10 @@ def _cmd_list(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="phasedjcm",
         description="Phase-damped Jaynes-Cummings runs with Bell-mixture "
@@ -196,8 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

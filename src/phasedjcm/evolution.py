@@ -56,32 +56,33 @@ def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     pairs = np.arange(state.n_max)
     w_plus, w_minus, v = envelopes(params, pairs, tau)
     half = np.exp(-0.5 * params.gamma_bar * tau)
-    full = half * half
+    hv = half * v
 
     a0 = state.a[..., :-1]
     b0 = state.b[..., 1:]
     c0 = state.c
     root = params.kappa_bar * np.sqrt(pairs + 1.0)
 
-    # The population source term is -Im c of the current state; for the
-    # Bell-mixture start this equals p(n) lam sqrt(q11 q22) sin(phi), and
-    # reading it off the state keeps the one-step map exactly composable.
+    # The pair sum a0 + b0 is conserved; the coupling turns the difference
+    # a0 - b0 into the coherence and back.  The population source term is
+    # -Im c of the current state; for the Bell-mixture start this equals
+    # p(n) lam sqrt(q11 q22) sin(phi), and reading it off the state keeps
+    # the one-step map exactly composable.
+    diff = a0 - b0
     msin = -c0.imag
-    mix = half * w_plus
-    pump = 2.0 * root * msin * half * v
+    mean = 0.5 * (a0 + b0)
+    turn = 0.5 * half * w_plus * diff + 2.0 * root * msin * hv
+    c = half * half * c0 + 1j * (msin * half * (half - w_minus)
+                                 + root * diff * hv)
 
-    a1 = 0.5 * (a0 * (1.0 + mix) + b0 * (1.0 - mix)) + pump
-    b1 = 0.5 * (b0 * (1.0 + mix) + a0 * (1.0 - mix)) - pump
-    c1 = (
-        full * c0
-        + 1j * msin * half * (half - w_minus)
-        - 1j * root * (b0 - a0) * half * v
-    )
-
-    edge = a1.shape[:-1] + (1,)
-    a = np.concatenate([a1, np.broadcast_to(state.a[..., -1:], edge)], axis=-1)
-    b = np.concatenate([np.broadcast_to(state.b[..., :1], edge), b1], axis=-1)
-    return BlockState(a=a, b=b, c=c1)
+    rows = turn.shape[:-1]
+    a = np.empty(rows + (state.n_max + 1,))
+    b = np.empty(rows + (state.n_max + 1,))
+    np.add(mean, turn, out=a[..., :-1])
+    np.subtract(mean, turn, out=b[..., 1:])
+    a[..., -1] = state.a[..., -1]
+    b[..., 0] = state.b[..., 0]
+    return BlockState(a=a, b=b, c=c)
 
 
 def asymptotic_state(state: BlockState, params: ModelParams) -> BlockState:

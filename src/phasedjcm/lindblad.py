@@ -169,14 +169,13 @@ def dense_from_block(state: BlockState) -> np.ndarray:
     """Embed a block state into the dense product-basis matrix."""
     dim = space_dim(state.n_max)
     rho = np.zeros((dim, dim), dtype=complex)
-    for n in range(state.n_max + 1):
-        rho[basis_index(n, 1), basis_index(n, 1)] = state.a[n]
-        rho[basis_index(n, 2), basis_index(n, 2)] = state.b[n]
-    for n in range(state.n_max):
-        g = basis_index(n, 1)
-        e = basis_index(n + 1, 2)
-        rho[g, e] = state.c[n]
-        rho[e, g] = np.conj(state.c[n])
+    # |n, 1> sits at 2 n and |n, 2> at 2 n + 1; the partner of |n, 1> is
+    # |n + 1, 2>, three places on.
+    ground = np.arange(0, dim, 2)
+    rho[ground, ground] = state.a
+    rho[ground + 1, ground + 1] = state.b
+    rho[ground[:-1], ground[:-1] + 3] = state.c
+    rho[ground[:-1] + 3, ground[:-1]] = np.conj(state.c)
     return rho
 
 

@@ -21,11 +21,11 @@ _ENTROPY_FLOOR = 1e-300
 
 def shannon_entropy(weights):
     """-sum w ln w along the last axis, over the entries above the underflow
-    floor; a float for 1-D weights, one value per row otherwise."""
+    floor (a nan weight gives nan); a float for 1-D weights, one value per
+    row otherwise."""
     w = np.asarray(weights, dtype=float)
-    keep = w > _ENTROPY_FLOOR
-    terms = np.where(keep, w * np.log(np.where(keep, w, 1.0)), 0.0)
-    return _per_row(-np.sum(terms, axis=-1))
+    logw = np.log(w, out=np.zeros(w.shape), where=w > _ENTROPY_FLOOR)
+    return _per_row(-np.sum(w * logw, axis=-1))
 
 
 def reduced_states(state: BlockState):

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .entanglement import concurrence_lower_bound
 from .evolution import propagate
-from .model import ModelParams, build_initial_state
+from .model import BlockState, ModelParams, build_initial_state
 from .observables import entropy_report
 from .revival import poisson_sum_inversion
 
@@ -108,21 +107,30 @@ def _run_curve(scenario: Scenario, curve: Curve,
     params = curve.params
     if scenario.sweep == "tau":
         initial = build_initial_state(params)
-        # Every sample is reached in one exact step from tau = 0; no error
-        # accumulates along the grid.
-        states = partial(propagate, initial, params)
         tau, lam = grid, None
     else:
         # Every block validates its weights; the ends of the grid go first,
         # so a grid that leaves [0, 1] fails before any column exists.
         build_initial_state(params, grid[[0, -1]])
-        states = partial(build_initial_state, params)
         tau, lam = 0.0, grid
     cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}
     rows = max(1, _BLOCK_ENTRIES // (params.n_max + 1))
     for lo in range(0, grid.size, rows):
         block = slice(lo, lo + rows)
-        state = states(grid[block])
+        if lam is not None:
+            state = build_initial_state(params, grid[block])
+        elif lo == 0:
+            # Only the first block is propagated from tau = 0, one phase per
+            # row and pair; every later block moves the first block's rows
+            # on by one scalar time, one phase per pair.  Each sample is
+            # reached in at most two exact steps, so no error accumulates
+            # along the grid.
+            first = state = propagate(initial, params, grid[block])
+        else:
+            size = grid[block].size
+            head = first if size == rows else BlockState(
+                first.a[:size], first.b[:size], first.c[:size])
+            state = propagate(head, params, grid[lo] - grid[0])
         rep = entropy_report(state)
         cols["clb"][block] = concurrence_lower_bound(state)
         for name in COLUMNS[1:-1]:

@@ -492,6 +492,41 @@ def test_list_command(capsys):
     assert "custom" not in out
 
 
+
+def test_repeated_calls_in_one_process_match_fresh_calls(tmp_path, capsys):
+    """main() keeps one parser per process; a run, an argparse error and a
+    validate run give what a fresh interpreter gives, in any order."""
+    out = str(tmp_path / "out")
+    calls = [
+        ["scenario", "fig2a", "--tau-max", "0.5", "--out", out],
+        ["scenario", "fig2a", "--kappa-bar", "5", "--out", out],
+        ["validate", "--mean-photons", "2", "--n-max", "25", "--tau-max",
+         "1.5"],
+    ]
+    src = str(Path(phasedjcm.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def csv_bytes():
+        return {p.name: p.read_bytes() for p in Path(out).glob("*.csv")}
+
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "phasedjcm.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr,
+                      csv_bytes()))
+    for argv, want in zip(calls + calls, fresh + fresh):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        assert (code, got.out, got.err, csv_bytes()) == want, argv
+    assert [w[0] for w in fresh] == [0, 2, 0]
+
 def test_package_imports_no_scipy():
     src = str(Path(phasedjcm.__file__).resolve().parent.parent)
     env = dict(os.environ)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from phasedjcm import (
+    BlockState,
     ModelParams,
     build_initial_state,
     compare_states,
@@ -202,6 +203,23 @@ def test_dense_embedding_round_trip():
         assert rho[g, e] == pytest.approx(state.c[n])
         assert rho[e, g] == pytest.approx(np.conj(state.c[n]))
 
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 30])
+def test_dense_from_block_matches_an_entrywise_reference(n_max):
+    rng = np.random.default_rng(n_max)
+    state = BlockState(rng.random(n_max + 1), rng.random(n_max + 1),
+                       rng.normal(size=n_max) + 1j * rng.normal(size=n_max))
+    dim = space_dim(n_max)
+    want = np.zeros((dim, dim), dtype=complex)
+    for n in range(n_max + 1):
+        want[basis_index(n, 1), basis_index(n, 1)] = state.a[n]
+        want[basis_index(n, 2), basis_index(n, 2)] = state.b[n]
+    for n in range(n_max):
+        g, e = basis_index(n, 1), basis_index(n + 1, 2)
+        want[g, e] = state.c[n]
+        want[e, g] = np.conj(state.c[n])
+    np.testing.assert_array_equal(dense_from_block(state), want)
 
 def test_closed_form_matches_integrator():
     params = make_params(gamma_bar=0.01, lam=0.9, n_max=24)

@@ -30,6 +30,34 @@ def test_shannon_entropy_conventions():
     assert shannon_entropy([]) == 0.0
 
 
+
+def test_shannon_entropy_equals_the_masked_reference_bit_for_bit():
+    def reference(w):
+        keep = w > 1e-300
+        terms = np.where(keep, w * np.log(np.where(keep, w, 1.0)), 0.0)
+        return -np.sum(terms, axis=-1)
+
+    rng = np.random.default_rng(8)
+    rows = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.5, 0.5, 0.0, -1e-20],
+        [-1e-20, -1e-30, -0.0, -5e-324],
+        [0.0, 0.0, -0.0, 0.0],
+        [5e-324, 1e-310, 0.3, 0.7],
+        [1e-300, 2e-300, 1.0, -1e-301],
+        rng.random(4),
+        rng.random(4) * 1e-150,
+    ])
+    got = shannon_entropy(rows)
+    want = reference(rows)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    for row, value in zip(rows, want):
+        one = shannon_entropy(row)
+        assert isinstance(one, float)
+        assert one == value and math.copysign(1.0, one) == math.copysign(
+            1.0, value)
+
 def test_reduced_states_initial_marginals():
     lam, p11, q11 = 0.4, 0.7, 0.3
     params = make_params(lam=lam, p11=p11, q11=q11)

@@ -16,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from phasedjcm import (
     run_scenario,
 )
 from phasedjcm.cli import main
+from phasedjcm.runner import _BLOCK_ENTRIES
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
                              derandomize=True)
@@ -143,6 +145,33 @@ def test_runner_rows_equal_scalar_evaluation(params):
             else:
                 assert math.isnan(asym)
 
+
+
+@pytest.mark.parametrize("gamma_bar", [0.0, 0.05])
+@pytest.mark.parametrize("mean_photons", [5.0, 20.0, 1000.0])
+def test_runner_blocks_match_one_direct_step_per_row(mean_photons, gamma_bar):
+    """A tau grid of several blocks, the last one short and the first not at
+    tau = 0, against one direct propagation from tau = 0 per row."""
+    params = ModelParams(kappa_bar=1.0, gamma_bar=gamma_bar,
+                         mean_photons=mean_photons, lam=0.9, p11=0.8,
+                         q11=0.5, bell_phase=math.pi / 6.0)
+    rows = _BLOCK_ENTRIES // (params.n_max + 1)
+    count = 2 * rows + rows // 2 + 1
+    step = 0.25
+    scenario = Scenario(name="t", sweep="tau", start=0.1,
+                        stop=0.1 + step * (count - 1), step=step,
+                        curves=(Curve("c", params),))
+    (series,) = run_scenario(scenario)
+    assert series.axis.size == count and count % rows != 0
+    initial = build_initial_state(params)
+    for i, tau in enumerate(series.axis):
+        state = propagate(initial, params, float(tau))
+        want = vars(entropy_report(state))
+        want["clb"] = concurrence_lower_bound(state)
+        for name in ("clb", "deficit", "mutual", "s_atom", "s_rad",
+                     "s_joint", "rel_atom", "rel_rad", "inversion"):
+            assert abs(series.columns[name][i] - want[name]) <= 1e-12, (
+                name, tau)
 
 PARAM_FLAGS = ("--kappa-bar", "--gamma-bar", "--mean-photons", "--lambda",
                "--p11", "--q11", "--bell-phase")
