@@ -63,23 +63,23 @@ def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     c0 = state.c
     root = params.kappa_bar * np.sqrt(pairs + 1.0)
 
-    # The pair sum a0 + b0 is conserved; the coupling turns the difference
-    # a0 - b0 into the coherence and back.  The population source term is
-    # -Im c of the current state; for the Bell-mixture start this equals
-    # p(n) lam sqrt(q11 q22) sin(phi), and reading it off the state keeps
-    # the one-step map exactly composable.
+    # Each pair keeps its sum a0 + b0: the coupling moves population
+    # between its two levels, driven by the difference a0 - b0 and by the
+    # source term -Im c of the current state.  For the Bell-mixture start
+    # the source equals p(n) lam sqrt(q11 q22) sin(phi); reading it off the
+    # state keeps the one-step map exactly composable.  At tau = 0 the flow
+    # is exactly 0.
     diff = a0 - b0
     msin = -c0.imag
-    mean = 0.5 * (a0 + b0)
-    turn = 0.5 * half * w_plus * diff + 2.0 * root * msin * hv
+    flow = 0.5 * (1.0 - half * w_plus) * diff - 2.0 * root * msin * hv
     c = half * half * c0 + 1j * (msin * half * (half - w_minus)
                                  + root * diff * hv)
 
-    rows = turn.shape[:-1]
+    rows = flow.shape[:-1]
     a = np.empty(rows + (state.n_max + 1,))
     b = np.empty(rows + (state.n_max + 1,))
-    np.add(mean, turn, out=a[..., :-1])
-    np.subtract(mean, turn, out=b[..., 1:])
+    np.subtract(a0, flow, out=a[..., :-1])
+    np.add(b0, flow, out=b[..., 1:])
     a[..., -1] = state.a[..., -1]
     b[..., 0] = state.b[..., 0]
     return BlockState(a=a, b=b, c=c)

@@ -174,8 +174,9 @@ def dense_from_block(state: BlockState) -> np.ndarray:
     ground = np.arange(0, dim, 2)
     rho[ground, ground] = state.a
     rho[ground + 1, ground + 1] = state.b
-    rho[ground[:-1], ground[:-1] + 3] = state.c
-    rho[ground[:-1] + 3, ground[:-1]] = np.conj(state.c)
+    g, e = ground[:-1], ground[:-1] + 3
+    rho[g, e] = state.c
+    rho[e, g] = np.conj(state.c)
     return rho
 
 
