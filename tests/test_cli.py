@@ -492,7 +492,6 @@ def test_list_command(capsys):
     assert "custom" not in out
 
 
-
 def test_repeated_calls_in_one_process_match_fresh_calls(tmp_path, capsys):
     """main() keeps one parser per process; a run, an argparse error and a
     validate run give what a fresh interpreter gives, in any order."""
@@ -518,6 +517,7 @@ def test_repeated_calls_in_one_process_match_fresh_calls(tmp_path, capsys):
                               timeout=120)
         fresh.append((proc.returncode, proc.stdout, proc.stderr,
                       csv_bytes()))
+    assert [want[0] for want in fresh] == [0, 2, 0]
     for argv, want in zip(calls + calls, fresh + fresh):
         try:
             code = main(argv)
@@ -525,7 +525,7 @@ def test_repeated_calls_in_one_process_match_fresh_calls(tmp_path, capsys):
             code = exc.code
         got = capsys.readouterr()
         assert (code, got.out, got.err, csv_bytes()) == want, argv
-    assert [w[0] for w in fresh] == [0, 2, 0]
+
 
 def test_package_imports_no_scipy():
     src = str(Path(phasedjcm.__file__).resolve().parent.parent)

@@ -204,7 +204,6 @@ def test_dense_embedding_round_trip():
         assert rho[e, g] == pytest.approx(np.conj(state.c[n]))
 
 
-
 @pytest.mark.parametrize("n_max", [1, 2, 7, 30])
 def test_dense_from_block_matches_an_entrywise_reference(n_max):
     rng = np.random.default_rng(n_max)
@@ -220,6 +219,7 @@ def test_dense_from_block_matches_an_entrywise_reference(n_max):
         want[g, e] = state.c[n]
         want[e, g] = np.conj(state.c[n])
     np.testing.assert_array_equal(dense_from_block(state), want)
+
 
 def test_closed_form_matches_integrator():
     params = make_params(gamma_bar=0.01, lam=0.9, n_max=24)

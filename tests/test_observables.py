@@ -30,7 +30,6 @@ def test_shannon_entropy_conventions():
     assert shannon_entropy([]) == 0.0
 
 
-
 def test_shannon_entropy_equals_the_masked_reference_bit_for_bit():
     def reference(w):
         keep = w > 1e-300
@@ -57,6 +56,7 @@ def test_shannon_entropy_equals_the_masked_reference_bit_for_bit():
         assert isinstance(one, float)
         assert one == value and math.copysign(1.0, one) == math.copysign(
             1.0, value)
+
 
 def test_reduced_states_initial_marginals():
     lam, p11, q11 = 0.4, 0.7, 0.3

@@ -146,7 +146,6 @@ def test_runner_rows_equal_scalar_evaluation(params):
                 assert math.isnan(asym)
 
 
-
 @pytest.mark.parametrize("gamma_bar", [0.0, 0.05])
 @pytest.mark.parametrize("mean_photons", [5.0, 20.0, 1000.0])
 def test_runner_blocks_match_one_direct_step_per_row(mean_photons, gamma_bar):
@@ -172,6 +171,7 @@ def test_runner_blocks_match_one_direct_step_per_row(mean_photons, gamma_bar):
                      "s_joint", "rel_atom", "rel_rad", "inversion"):
             assert abs(series.columns[name][i] - want[name]) <= 1e-12, (
                 name, tau)
+
 
 PARAM_FLAGS = ("--kappa-bar", "--gamma-bar", "--mean-photons", "--lambda",
                "--p11", "--q11", "--bell-phase")
