@@ -32,10 +32,9 @@ def concurrence_lower_bound(state: BlockState):
     """
     # Clip tiny negative populations left by round-off before the square
     # roots.
-    v = np.clip(state.b[..., :-1], 0.0, None)
-    w = np.clip(state.b[..., 1:], 0.0, None)
-    x = np.clip(state.a[..., :-1], 0.0, None)
-    y = np.clip(state.a[..., 1:], 0.0, None)
+    a = np.maximum(state.a, 0.0)
+    b = np.maximum(state.b, 0.0)
+    v, w, x, y = b[..., :-1], b[..., 1:], a[..., :-1], a[..., 1:]
     az = np.abs(state.c)
     t = v + w + x + y
 

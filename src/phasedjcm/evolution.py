@@ -1,11 +1,12 @@
 """Closed-form evolution of the block state.
 
-Each pair {|n,1>, |n+1,2>} is an isolated two-level system: the coupling
-rotates its population difference into the coherence at the reduced pair
-frequency E(n) = sqrt(4 kappa_bar^2 (n+1) - (gamma_bar/2)^2) while phase
-damping shrinks the coherence.  The expressions below are the exact solution
-of the master equation inside one pair, applied to every pair at once, so
-arbitrary times are reached in a single call with no stepping error.
+Each pair {|n,1>, |n+1,2>} is an isolated, damped two-level system: Re c
+decays by e^{-gamma_bar tau}, while the population difference a - b and Im c
+turn into each other at the reduced pair frequency
+E(n) = sqrt(4 kappa_bar^2 (n+1) - (gamma_bar/2)^2) and the pair sum a + b is
+kept.  This exact solution of the master equation inside one pair is written
+in real arithmetic and applied to every pair at once, so arbitrary times are
+reached in a single call with no stepping error.
 """
 
 from __future__ import annotations
@@ -17,25 +18,6 @@ import numpy as np
 from .model import BlockState, ModelParams, rabi_frequency
 
 
-def envelopes(params: ModelParams, n, tau: float):
-    """The three oscillation envelopes (W+, W-, V) of pair n at time tau.
-
-    V = sin(E tau) / E and W+- = cos(E tau) +- (gamma_bar / 2) V.  Shapes
-    follow ``n``.  Raises ValueError when a phase E tau is not finite.
-    """
-    e = rabi_frequency(params, n)
-    # The fastest pair at the latest time has the largest phase; the sine
-    # and cosine of an overflowed one would be nan.
-    if not math.isfinite(float(np.max(np.abs(tau))) * float(np.max(e))):
-        raise ValueError("phase E tau is not finite: tau is nan or too large "
-                         "for the pair frequencies")
-    phase = tau * e
-    v = np.sin(phase) / e
-    cos = np.cos(phase)
-    half_rate = 0.5 * params.gamma_bar
-    return cos + half_rate * v, cos - half_rate * v, v
-
-
 def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     """Evolve a block state forward by tau in one exact step.
 
@@ -44,8 +26,9 @@ def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     its rows broadcast against the times.  The unpaired weights b[0] and
     a[n_max] are constants of the motion (the latter because its partner
     level lies above the truncation), so they are carried through unchanged.
-    Evolution is a semigroup:
-    propagate(s, t1 + t2) == propagate(propagate(s, t1), t2) to round-off.
+    Evolution is a semigroup: propagate(s, t1 + t2) ==
+    propagate(propagate(s, t1), t2) to round-off.  Raises ValueError when a
+    phase E tau is not finite.
     """
     tau = np.asarray(tau, dtype=float)
     if tau.ndim > 1:
@@ -54,34 +37,36 @@ def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
         raise ValueError("tau must be non-negative")
     tau = tau[..., None]
     pairs = np.arange(state.n_max)
-    w_plus, w_minus, v = envelopes(params, pairs, tau)
-    half = np.exp(-0.5 * params.gamma_bar * tau)
-    hv = half * v
-
-    a0 = state.a[..., :-1]
-    b0 = state.b[..., 1:]
-    c0 = state.c
+    e = rabi_frequency(params, pairs)
+    # An overflowed phase gives a nan sine; the largest is max(tau) max(E).
+    if not math.isfinite(float(np.max(tau)) * float(np.max(e))):
+        raise ValueError("phase E tau is not finite: tau is nan or too large "
+                         "for the pair frequencies")
+    # W+- = cos(E tau) +- (gamma_bar / 2) V with V = sin(E tau) / E.
+    phase = tau * e
+    half_rate = 0.5 * params.gamma_bar
+    h = np.exp(-half_rate * tau)
+    v = np.sin(phase) / e
+    cos = np.cos(phase)
+    hv = h * v
     root = params.kappa_bar * np.sqrt(pairs + 1.0)
 
-    # Each pair keeps its sum a0 + b0: the coupling moves population
-    # between its two levels, driven by the difference a0 - b0 and by the
-    # source term -Im c of the current state.  For the Bell-mixture start
-    # the source equals p(n) lam sqrt(q11 q22) sin(phi); reading it off the
-    # state keeps the one-step map exactly composable.  At tau = 0 the flow
-    # is exactly 0.
+    # The coupling moves population between the two levels of a pair,
+    # driven by a0 - b0 and by Im c0, so each pair keeps its sum and at
+    # tau = 0 the flow is exactly 0.
+    a0, b0, im0 = state.a[..., :-1], state.b[..., 1:], state.c.imag
     diff = a0 - b0
-    msin = -c0.imag
-    flow = 0.5 * (1.0 - half * w_plus) * diff - 2.0 * root * msin * hv
-    c = half * half * c0 + 1j * (msin * half * (half - w_minus)
-                                 + root * diff * hv)
-
-    rows = flow.shape[:-1]
-    a = np.empty(rows + (state.n_max + 1,))
-    b = np.empty(rows + (state.n_max + 1,))
+    flow = (0.5 * (1.0 - h * (cos + half_rate * v)) * diff
+            + 2.0 * root * im0 * hv)
+    a = np.empty(flow.shape[:-1] + (state.n_max + 1,))
+    b = np.empty_like(a)
+    c = np.empty(flow.shape, dtype=complex)
     np.subtract(a0, flow, out=a[..., :-1])
     np.add(b0, flow, out=b[..., 1:])
     a[..., -1] = state.a[..., -1]
     b[..., 0] = state.b[..., 0]
+    c.real = h * h * state.c.real
+    c.imag = h * (cos - half_rate * v) * im0 + root * hv * diff
     return BlockState(a=a, b=b, c=c)
 
 

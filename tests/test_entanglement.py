@@ -64,6 +64,21 @@ def test_clb_skips_weightless_projections():
                                              1e-15)) == 0.0
 
 
+def test_clb_reads_round_off_negative_populations_as_zero():
+    params = make_params(mean_photons=5.0, lam=0.8, gamma_bar=0.05)
+    state = propagate(build_initial_state(params), params,
+                      np.linspace(0.0, 12.0, 7))
+    a, b = state.a.copy(), state.b.copy()
+    a[:, [0, 3, 7]] = -1e-18
+    b[:, [0, 2, 5]] = -1e-18
+    clipped = concurrence_lower_bound(BlockState(a=a, b=b, c=state.c))
+    a[a < 0] = 0.0
+    b[b < 0] = 0.0
+    zeroed = concurrence_lower_bound(BlockState(a=a, b=b, c=state.c))
+    assert np.array_equal(clipped, zeroed)
+    assert np.all(zeroed > 0.0)
+
+
 def test_physical_blocks_keep_coherence_below_geometric_mean():
     # PSD of the {w, x} sub-block forces |z| <= sqrt(w x), so the min in the
     # concurrence formula never binds

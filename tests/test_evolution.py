@@ -1,4 +1,4 @@
-"""Closed-form evolution: frequencies, envelopes, propagation, spectra."""
+"""Closed-form evolution: frequencies, the real pair map, spectra."""
 
 import math
 from dataclasses import replace
@@ -17,7 +17,7 @@ from phasedjcm import (
     poisson_pmf,
     propagate,
 )
-from phasedjcm.evolution import envelopes, rabi_frequency
+from phasedjcm.evolution import rabi_frequency
 from phasedjcm.model import _spectrum
 from phasedjcm.observables import shannon_entropy
 
@@ -73,30 +73,63 @@ def test_rabi_frequency_rejects_a_radicand_that_is_not_finite(kappa_bar,
         rabi_frequency(p, 0)
 
 
-def test_envelopes_limits():
-    p = make_params(gamma_bar=0.02)
-    wp, wm, v = envelopes(p, 3, 0.0)
-    assert (wp, wm, v) == (1.0, 1.0, 0.0)
+def complex_pair_update(state, params, tau):
+    """The pair update in complex arithmetic, as it was before the real map:
+    c = h^2 c0 + i (-Im c0 h (h - W-) + root (a0 - b0) h V)."""
+    tau = np.asarray(tau, dtype=float)[..., None]
+    pairs = np.arange(state.n_max)
+    e = rabi_frequency(params, pairs)
+    v = np.sin(tau * e) / e
+    w_plus = np.cos(tau * e) + 0.5 * params.gamma_bar * v
+    w_minus = np.cos(tau * e) - 0.5 * params.gamma_bar * v
+    half = np.exp(-0.5 * params.gamma_bar * tau)
+    hv = half * v
+    a0, b0, c0 = state.a[..., :-1], state.b[..., 1:], state.c
+    root = params.kappa_bar * np.sqrt(pairs + 1.0)
+    diff = a0 - b0
+    msin = -c0.imag
+    flow = 0.5 * (1.0 - half * w_plus) * diff - 2.0 * root * msin * hv
+    c = half * half * c0 + 1j * (msin * half * (half - w_minus)
+                                 + root * diff * hv)
+    rows = flow.shape[:-1]
+    a = np.concatenate(
+        [a0 - flow, np.broadcast_to(state.a[..., -1:], rows + (1,))], axis=-1)
+    b = np.concatenate(
+        [np.broadcast_to(state.b[..., :1], rows + (1,)), b0 + flow], axis=-1)
+    return BlockState(a=a, b=b, c=c)
 
-    pu = make_params(gamma_bar=0.0)
-    wp, wm, v = envelopes(pu, 3, 1.7)
-    e = rabi_e(1.0, 0.0, 3)
-    assert wp == pytest.approx(math.cos(1.7 * e), abs=1e-15)
-    assert wp == wm
 
-    # half Rabi period: W+- = -1, V = 0
-    tau_half = math.pi / e
-    wp, wm, v = envelopes(pu, 3, tau_half)
-    assert wp == pytest.approx(-1.0, abs=1e-12)
-    assert wm == pytest.approx(-1.0, abs=1e-12)
-    assert abs(v) < 1e-15
+@pytest.mark.parametrize("mean_photons", [0.5, 5.0, 20.0, 100.0])
+def test_real_pair_map_matches_the_complex_update(mean_photons):
+    rng = np.random.default_rng(int(mean_photons * 10))
+    for _ in range(10):
+        p = make_params(
+            kappa_bar=float(rng.uniform(0.5, 2.0)),
+            gamma_bar=float(rng.uniform(0.0, 0.2)),
+            mean_photons=mean_photons, lam=float(rng.uniform(0.0, 1.0)),
+            p11=float(rng.uniform(0.0, 1.0)),
+            q11=float(rng.uniform(0.1, 0.9)),
+            bell_phase=float(rng.uniform(0.0, 2.0 * math.pi)))
+        s0 = build_initial_state(p)
+        taus = np.sort(rng.uniform(0.0, 30.0, 16))
+        first = propagate(s0, p, taus)
+        assert max_state_dev(first, complex_pair_update(s0, p, taus)) < 1e-15
+        shift = float(rng.uniform(0.0, 30.0))
+        assert max_state_dev(propagate(first, p, shift),
+                             complex_pair_update(first, p, shift)) < 1e-15
 
 
 def test_propagate_tau_zero_is_identity():
-    p = make_params()
-    s0 = build_initial_state(p)
-    s1 = propagate(s0, p, 0.0)
-    assert max_state_dev(s0, s1) < 1e-15
+    rng = np.random.default_rng(5)
+    for gamma_bar in (0.0, 0.1):
+        p = make_params(gamma_bar=gamma_bar)
+        s0 = build_initial_state(p)
+        first = propagate(s0, p, np.sort(rng.uniform(0.0, 20.0, 8)))
+        for state in (s0, first, random_block_state(rng)):
+            same = propagate(state, p, 0.0)
+            assert np.array_equal(same.a, state.a)
+            assert np.array_equal(same.b, state.b)
+            assert np.array_equal(same.c, state.c)
 
 
 def test_propagate_rejects_negative_time():
