@@ -28,7 +28,6 @@ from .model import (
     params_from_mapping,
     poisson_pmf,
     poisson_tail,
-    read_config,
     validate_params,
 )
 from .observables import (
@@ -67,7 +66,6 @@ __all__ = [
     "poisson_sum_inversion",
     "poisson_tail",
     "propagate",
-    "read_config",
     "run_scenario",
     "validate_params",
 ]

@@ -26,16 +26,12 @@ from .model import (
     ParameterError,
     build_initial_state,
     params_from_mapping,
-    read_config,
 )
 from .runner import CATALOG, Curve, Scenario, emit_csv, run_scenario
 
 
 def _add_param_flags(parser: argparse.ArgumentParser,
                      lam: bool = True) -> None:
-    parser.add_argument("--config", metavar="FILE",
-                        help="key=value parameter file (keys are the "
-                        "ModelParams fields; the mixture weight is 'lambda')")
     for _, key, default in _PARAMS:
         if lam or key != "lambda":
             parser.add_argument("--" + key.replace("_", "-"), type=float,
@@ -44,15 +40,11 @@ def _add_param_flags(parser: argparse.ArgumentParser,
 
 
 def _params_from_args(args) -> ModelParams:
-    # Flags overlay the config file as raw values; the default Fock cutoff
-    # then tracks whatever mean_photons ends up being, unless n_max was set
-    # explicitly in either place.
-    mapping = read_config(args.config) if args.config else {}
-    for key in [key for _, key, _ in _PARAMS] + ["n_max"]:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
-    return params_from_mapping(mapping)
+    # Only the flags actually given, so the default Fock cutoff tracks
+    # mean_photons unless --n-max was set.
+    keys = [key for _, key, _ in _PARAMS] + ["n_max"]
+    return params_from_mapping({key: getattr(args, key) for key in keys
+                                if getattr(args, key, None) is not None})
 
 
 def _run_and_write(scenario: Scenario, args) -> int:
@@ -89,11 +81,6 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_sweep_clb(args) -> int:
-    # The swept grid replaces the mixture weight, so a fixed one is an
-    # error rather than silently ignored.
-    if args.config and "lambda" in read_config(args.config):
-        raise ParameterError(f"{args.config}: sweep-clb sweeps lambda; "
-                             "set --lambda-start/--lambda-stop instead")
     params = _params_from_args(args)
     scenario = Scenario(
         name="sweep-clb", sweep="lambda", start=args.lambda_start,

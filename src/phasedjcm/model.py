@@ -24,10 +24,10 @@ import numpy as np
 # Bound on the neglected Poisson weight above the Fock cutoff.
 TAIL_TOL = 1e-12
 
-# The real-valued parameters, each once: (ModelParams field, key in config
-# files, flags and messages, default).  "lambda" is reserved in Python, so
-# the mixture weight's field is called lam.  The command line registers the
-# flag --<key with "-" for "_"> for each entry.
+# The real-valued parameters, each once: (ModelParams field, key in
+# params_from_mapping, flags and messages, default).  "lambda" is reserved in
+# Python, so the mixture weight's field is called lam.  The command line
+# registers the flag --<key with "-" for "_"> for each entry.
 _PARAMS = (
     ("kappa_bar", "kappa_bar", 1.0),
     ("gamma_bar", "gamma_bar", 0.0),
@@ -277,11 +277,14 @@ def rabi_frequency(params: ModelParams, n):
     kappa_sq = params.kappa_bar * params.kappa_bar
     half_gamma = 0.5 * params.gamma_bar
     coupling = 4.0 * kappa_sq * (arr + 1.0)
-    radicand = coupling - half_gamma * half_gamma
-    if not np.all(np.isfinite(radicand)):
+    damping = half_gamma * half_gamma
+    # Both terms are checked before the subtraction, where inf - inf would
+    # warn and give nan.
+    if not (np.all(np.isfinite(coupling)) and np.isfinite(damping)):
         rate = "gamma_bar" if np.all(np.isfinite(coupling)) else "kappa_bar"
         raise ValueError(f"pair frequency is not finite: {rate} is too large "
                          "or nan")
+    radicand = coupling - damping
     if kappa_sq == 0:
         raise ValueError("kappa_bar is too small: kappa_bar^2 is 0")
     if np.any(radicand <= 0):
@@ -432,43 +435,24 @@ def build_initial_state(params: ModelParams, lam=None) -> BlockState:
     return state
 
 
-# --- flat key=value config files -------------------------------------------
-
 def params_from_mapping(mapping: dict) -> ModelParams:
-    """Build ModelParams from string key=value pairs, applying defaults."""
+    """Build ModelParams from a mapping of the ``_PARAMS`` keys and
+    ``n_max`` to numbers or numeric strings, applying defaults."""
     unknown = set(mapping) - {key for _, key, _ in _PARAMS} - {"n_max"}
     if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
     kwargs = {}
     for name, key, default in _PARAMS:
         raw = mapping.get(key, default)
         try:
             kwargs[name] = float(raw)
         except (TypeError, ValueError):
-            raise ParameterError(f"config key {key!r}: not a number: {raw!r}")
+            raise ParameterError(f"parameter {key!r}: not a number: {raw!r}")
     if "n_max" in mapping:
         try:
             kwargs["n_max"] = int(mapping["n_max"])
         except (TypeError, ValueError):
-            raise ParameterError(f"config key 'n_max': not an integer: "
+            raise ParameterError(f"parameter 'n_max': not an integer: "
                                  f"{mapping['n_max']!r}")
     return ModelParams(**kwargs)
 
-
-def read_config(path) -> dict:
-    """Parse a flat key=value file into a raw string mapping.
-
-    Blank lines and '#' comments are ignored; keys are the ModelParams field
-    names with the mixture weight spelled ``lambda``.
-    """
-    mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
-    return mapping

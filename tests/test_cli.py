@@ -173,17 +173,12 @@ def test_lambda_scan_command(tmp_path):
     assert last[1] > first[1]
 
 
-def test_evolve_command_with_config_and_flag_override(tmp_path):
-    config = tmp_path / "params.cfg"
-    config.write_text(
-        "mean_photons = 2\n"
-        "lambda = 0.3     # overridden on the command line\n"
-        "p11 = 0.6\n"
-        "n_max = 30\n"
-    )
+def test_evolve_command_matches_run_scenario(tmp_path):
     out = tmp_path / "out"
-    rc = main(["evolve", "--config", str(config), "--lambda", "0.9",
-               "--tau-max", "0.5", "--tau-step", "0.25",
+    rc = main(["evolve", "--kappa-bar", "1", "--gamma-bar", "0",
+               "--mean-photons", "2", "--lambda", "0.9", "--p11", "0.6",
+               "--q11", "0.5", "--bell-phase", repr(math.pi / 6),
+               "--n-max", "30", "--tau-max", "0.5", "--tau-step", "0.25",
                "--label", "mix", "--out", str(out)])
     assert rc == 0
 
@@ -212,6 +207,17 @@ def test_scenario_takes_no_parameter_flags(tmp_path, capsys, flags):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep-clb", "validate"])
+def test_parameter_commands_take_no_config_file(tmp_path, monkeypatch,
+                                                capsys, command):
+    # The flags alone fix a run's parameters.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", "x.cfg"])
+    assert err.value.code == 2
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_invalid_parameters_exit_1(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["evolve", "--p11", "1.5", "--out", str(out)])
@@ -234,6 +240,7 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("--lambda", "nan"),
     ("--kappa-bar", "1e200"),
     ("--kappa-bar", "1.7e308"),
+    ("--kappa-bar", "1e155", "--gamma-bar", "1e300"),
 ])
 def test_non_finite_parameters_exit_1(tmp_path, capsys, flags):
     # A finite coupling whose squared pair frequency overflows counts as
@@ -350,21 +357,11 @@ def test_lambda_sweep_outside_unit_interval_fails_before_any_work(
 
 
 def test_sweep_clb_takes_no_fixed_lambda(tmp_path, capsys):
-    # The swept grid replaces the mixture weight: the flag does not exist
-    # and a config file that sets it is refused.
+    # The swept grid replaces the mixture weight, so the flag does not exist.
     with pytest.raises(SystemExit) as err:
         main(["sweep-clb", "--lambda", "0.5", "--out", str(tmp_path)])
     assert err.value.code == 2
-    capsys.readouterr()
-    config = tmp_path / "params.cfg"
-    config.write_text("mean_photons = 2\nlambda = 0.5\n")
-    out = tmp_path / "out"
-    rc = main(["sweep-clb", "--config", str(config), "--n-max", "30",
-               "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "sweeps lambda" in err
-    assert not out.exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("flag", ["--nu-max=3", "--no-clb-include-n0"])
@@ -380,14 +377,6 @@ def test_tau_override_rejected_for_lambda_sweeps(tmp_path, capsys):
     assert rc == 1
     assert "lambda" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
-
-
-def test_unknown_config_key_exits_1(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("coupling = 3\n")
-    rc = main(["evolve", "--config", str(config), "--out", str(tmp_path)])
-    assert rc == 1
-    assert "coupling" in capsys.readouterr().err
 
 
 def test_validate_command_passes_quickly(capsys):

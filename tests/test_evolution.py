@@ -63,6 +63,7 @@ def test_rabi_frequency_domain_error():
 
 @pytest.mark.parametrize("kappa_bar, gamma_bar", [
     (1e200, 0.0), (1.7e308, 0.0), (1.0, 1e200), (math.nan, 0.0),
+    (1e155, 1e300),
 ])
 def test_rabi_frequency_rejects_a_radicand_that_is_not_finite(kappa_bar,
                                                               gamma_bar):

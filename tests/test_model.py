@@ -17,7 +17,6 @@ from phasedjcm import (
     params_from_mapping,
     poisson_pmf,
     poisson_tail,
-    read_config,
     validate_params,
 )
 
@@ -240,32 +239,16 @@ def test_blockstate_arrays_frozen():
         state.a[0] = 99.0
 
 
-def test_config_round_trip(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# comment line\n"
-        "kappa_bar = 1.0\n"
-        "gamma_bar = 0.01\n"
-        "mean_photons = 5\n"
-        "lambda = 0.9   # inline comment\n"
-        "p11 = 0.8\n"
-        "q11 = 0.5\n"
-        "bell_phase = 0.5235987755982988\n"
-        "n_max = 60\n"
-    )
-    params = params_from_mapping(read_config(cfg))
-    assert params.lam == 0.9
-    assert params.n_max == 60
-    assert params.gamma_bar == 0.01
-
-
-def test_config_defaults_and_unknown_keys(tmp_path):
+def test_config_defaults_and_unknown_keys():
     params = params_from_mapping({"mean_photons": "20"})
     assert params.mean_photons == 20.0
     assert params.n_max == default_n_max(20.0)
+    params = params_from_mapping({"gamma_bar": "0.01", "lambda": "0.9",
+                                  "n_max": "60"})
+    assert params.lam == 0.9
+    assert params.n_max == 60 and isinstance(params.n_max, int)
+    assert params.gamma_bar == 0.01
     with pytest.raises(ParameterError):
         params_from_mapping({"mean_photon": "20"})
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just some words\n")
     with pytest.raises(ParameterError):
-        params_from_mapping(read_config(bad))
+        params_from_mapping({"p11": "just some words"})
