@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,9 @@ from phasedjcm import (
     build_initial_state,
     compare_states,
     dense_from_block,
+    entropy_report,
     integrate_path,
+    lindblad,
     propagate,
 )
 from phasedjcm.lindblad import (
@@ -20,7 +23,6 @@ from phasedjcm.lindblad import (
     basis_index,
     dephasing_signs,
     hamiltonian,
-    lindblad_rhs,
     space_dim,
 )
 
@@ -37,6 +39,37 @@ def random_density(dim, seed):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def lindblad_rhs(rho, params):
+    """The generator in its readable matrix form:
+    d rho / d tau = -i [H, rho] + (gamma_bar / 2) (Z rho Z - rho)."""
+    ham = hamiltonian(params)
+    signs = dephasing_signs(params.n_max)
+    comm = ham @ rho - rho @ ham
+    deph = signs[:, None] * rho * signs[None, :] - rho
+    return -1j * comm + 0.5 * params.gamma_bar * deph
+
+
+def liouvillian(params):
+    """The full generator as a matrix on row-major vectorized states: its
+    column j dim + k is lindblad_rhs applied to the basis matrix E_jk."""
+    dim = space_dim(params.n_max)
+    columns = []
+    for j in range(dim):
+        for k in range(dim):
+            basis = np.zeros((dim, dim), dtype=complex)
+            basis[j, k] = 1.0
+            columns.append(lindblad_rhs(basis, params).ravel())
+    return np.array(columns).T
+
+
+def apply_generator(rho, params):
+    """The oracle's generator applied once to a Hermitian rho."""
+    apply, _ = _generator(params)
+    pair = np.stack([rho.real, rho.imag])
+    out = apply(pair, 1.0, np.empty_like(pair))
+    return out[0] + 1j * out[1]
 
 
 def test_basis_layout():
@@ -74,22 +107,13 @@ def test_rhs_is_traceless_and_matches_the_generator():
     rhs = lindblad_rhs(rho, params)
     assert abs(np.trace(rhs)) < 1e-13
     assert np.allclose(rhs, rhs.conj().T, atol=1e-13)
-    apply, _ = _generator(params)
-    np.testing.assert_allclose(apply(rho), rhs, atol=1e-13)
+    np.testing.assert_allclose(apply_generator(rho, params), rhs, atol=1e-13)
 
 
 def test_generator_norm_bound_covers_the_exact_norm():
-    # Column (j, k) of L is lindblad_rhs applied to the basis matrix E_jk;
-    # the 1-norm is the largest column sum of |L|.
+    # The 1-norm is the largest column sum of |L|.
     params = make_params(gamma_bar=0.3, n_max=3)
-    dim = space_dim(3)
-    columns = []
-    for j in range(dim):
-        for k in range(dim):
-            basis = np.zeros((dim, dim), dtype=complex)
-            basis[j, k] = 1.0
-            columns.append(np.abs(lindblad_rhs(basis, params)).sum())
-    exact = max(columns)
+    exact = np.abs(liouvillian(params)).sum(axis=0).max()
     _, bound = _generator(params)
     assert exact > 0
     # The two sums add the same magnitudes in different orders.
@@ -140,6 +164,125 @@ def test_integrate_path_zero_time_and_input_guards():
     with pytest.raises(ValueError, match="finite"):
         integrate_path(bad, params, [1.0])
     assert time.perf_counter() - start < 5.0
+
+
+def invariant_subspaces(liou):
+    """Index sets of the coordinate subspaces that ``liou`` maps into
+    themselves and that no smaller such set splits: the connected
+    components of its sparsity pattern."""
+    linked = (liou != 0) | (liou.T != 0) | np.eye(len(liou), dtype=bool)
+    while True:
+        wider = linked.astype(int) @ linked.astype(int) > 0
+        if np.array_equal(wider, linked):
+            return {tuple(np.flatnonzero(row)) for row in linked}
+        linked = wider
+
+
+def exact_evolution(rho0, params, tau):
+    """exp(tau L) rho0 with mpmath.expm at 30 digits.  L is built from
+    lindblad_rhs alone; exponentiating it one invariant subspace at a time
+    gives the same matrix as the whole (it is block diagonal up to a
+    permutation) in a fraction of the time."""
+    liou = liouvillian(params)
+    vec = rho0.ravel()
+    out = np.zeros_like(vec)
+    with mpmath.workdps(30):
+        for idx in map(list, invariant_subspaces(liou)):
+            block = mpmath.matrix(liou[np.ix_(idx, idx)].tolist())
+            prop = mpmath.expm(block * mpmath.mpf(tau))
+            part = prop * mpmath.matrix(vec[idx].tolist())
+            out[idx] = [complex(part[i]) for i in range(len(idx))]
+    return out.reshape(rho0.shape)
+
+
+@pytest.mark.parametrize("gamma_bar", [0.0, 0.3])
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_integrate_path_matches_a_30_digit_exponential(n_max, gamma_bar):
+    params = make_params(gamma_bar=gamma_bar, n_max=n_max)
+    rho0 = random_density(space_dim(n_max), seed=40 + n_max)
+    taus = [0.7, 3.0]
+    for tau, rho in zip(taus, integrate_path(rho0, params, taus)):
+        want = exact_evolution(rho0, params, tau)
+        np.testing.assert_allclose(rho, want, rtol=0.0, atol=1e-14)
+
+
+def test_zero_span_and_zero_state_return_at_once(monkeypatch):
+    counts = {"series": 0, "applications": 0}
+    generator, taylor = lindblad._generator, lindblad._taylor
+
+    def counting_generator(params):
+        apply, norm = generator(params)
+
+        def counted(*args):
+            counts["applications"] += 1
+            return apply(*args)
+        return counted, norm
+
+    def counting_taylor(*args):
+        counts["series"] += 1
+        return taylor(*args)
+
+    monkeypatch.setattr(lindblad, "_generator", counting_generator)
+    monkeypatch.setattr(lindblad, "_taylor", counting_taylor)
+    params = make_params(gamma_bar=0.2, n_max=6)
+    rho0 = random_density(space_dim(6), seed=9)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    # A zero span takes no substep, so the state comes back exactly.
+    np.testing.assert_array_equal(integrate_path(rho0, params, [0.0])[0], rho0)
+    assert counts == {"series": 0, "applications": 0}
+    # With ||F|| = 0 every series stops after its first term.
+    zero = np.zeros_like(rho0)
+    for rho in integrate_path(zero, params, [0.0, 0.7, 3.0]):
+        np.testing.assert_array_equal(rho, zero)
+    assert counts["series"] > 0
+    assert counts["applications"] == counts["series"]
+
+
+def test_integrate_path_requires_a_hermitian_state():
+    params = make_params(gamma_bar=0.02, n_max=4)
+    rho0 = random_density(space_dim(4), seed=21)
+    # random_density is Hermitian only to round-off; it is symmetrized.
+    assert not np.array_equal(rho0, rho0.conj().T)
+    rho = integrate_path(rho0, params, [0.5])[0]
+    np.testing.assert_array_equal(rho, rho.conj().T)
+    bad = rho0.copy()
+    bad[1, 4] += 1e-3
+    with pytest.raises(ValueError, match="Hermitian"):
+        integrate_path(bad, params, [0.5])
+
+
+def von_neumann(rho):
+    weights = np.linalg.eigvalsh(rho)
+    weights = weights[weights > 1e-300]
+    return float(-np.sum(weights * np.log(weights)))
+
+
+def test_pure_level_start_keeps_atom_and_field_entropies_equal():
+    # From the pure level |k, 1> without damping the joint state stays
+    # pure, so the atomic and radiation entropies are necessarily the same.
+    n_max, k = 8, 3
+    params = make_params(gamma_bar=0.0, n_max=n_max)
+    a = np.zeros(n_max + 1)
+    a[k] = 1.0
+    state = BlockState(a, np.zeros(n_max + 1), np.zeros(n_max))
+    report = entropy_report(propagate(state, params,
+                                      np.linspace(0.0, 30.0, 601)))
+    assert np.max(np.abs(report.s_atom - report.s_rad)) < 1e-12
+    assert np.max(np.abs(report.s_joint)) < 1e-12
+    # The pair {|3,1>, |4,2>} swaps fully, so the entropies reach ln 2.
+    assert report.s_atom.max() > 0.69
+
+    # The oracle's dense state agrees, through its partial traces.
+    taus = [0.4, 1.3, 7.0]
+    for tau, rho in zip(taus, integrate_path(dense_from_block(state), params,
+                                             taus)):
+        split = rho.reshape(n_max + 1, 2, n_max + 1, 2)
+        s_atom = von_neumann(np.einsum("ninj->ij", split))
+        s_rad = von_neumann(np.einsum("nimi->nm", split))
+        assert abs(s_atom - s_rad) < 1e-12
+        assert abs(von_neumann(rho)) < 1e-12
+        closed = entropy_report(propagate(state, params, tau))
+        assert s_atom == pytest.approx(closed.s_atom, abs=1e-12)
 
 
 def test_trace_preserved_over_long_run():
