@@ -162,8 +162,11 @@ def integrate_path(rho0: np.ndarray, params: ModelParams, taus):
             _taylor(apply, rho, span / steps[best], _DEGREES[best], total,
                     terms)
             rho, total = total, rho
-        re, im = rho
-        out.append(0.5 * scale * ((re + re.T) + 1j * (im - im.T)))
+        herm = np.empty((dim, dim), dtype=complex)
+        np.add(rho[0], rho[0].T, out=herm.real)
+        np.subtract(rho[1], rho[1].T, out=herm.imag)
+        herm *= 0.5 * scale
+        out.append(herm)
     return out
 
 
