@@ -206,7 +206,6 @@ def test_integrate_path_matches_a_30_digit_exponential(n_max, gamma_bar):
         np.testing.assert_allclose(rho, want, rtol=0.0, atol=1e-14)
 
 
-
 @pytest.mark.parametrize("factor", [1e-170, 1e300])
 def test_integrate_path_is_linear_at_extreme_scales(factor):
     # The stopping test squares entries, which under- or overflow at these
@@ -216,6 +215,7 @@ def test_integrate_path_is_linear_at_extreme_scales(factor):
     want = integrate_path(rho0, params, [2.0])[0]
     got = integrate_path(rho0 * factor, params, [2.0])[0] / factor
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
 
 def test_zero_span_and_zero_state_return_at_once(monkeypatch):
     counts = {"series": 0, "applications": 0}
