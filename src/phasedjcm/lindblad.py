@@ -175,12 +175,15 @@ def _taylor(apply, rho, h, degree, total, terms) -> None:
     3.2).  The terms alternate between the two scratch states ``terms``."""
     np.copyto(total, rho)
     term = rho
-    last = math.sqrt(np.vdot(rho, rho))
+    # bound >= ||total||, so the exact norm is only taken near the end.
+    last = bound = math.sqrt(np.vdot(rho, rho))
     for k in range(1, degree + 1):
         term = apply(term, h / k, terms[k % 2])
         total += term
         size = math.sqrt(np.vdot(term, term))
-        if (last + size) * 2.0 ** 53 <= math.sqrt(np.vdot(total, total)):
+        bound += size
+        tail = (last + size) * 2.0 ** 53
+        if tail <= bound and tail <= math.sqrt(np.vdot(total, total)):
             return
         last = size
 
