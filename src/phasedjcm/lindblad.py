@@ -8,11 +8,14 @@ truncated Taylor series on scaled substeps to double-precision round-off.
 Agreement between this oracle and the closed form in ``evolution``
 certifies both.
 
-For speed the exponential carries the Hermitian state as its real and
-imaginary parts, applies the generator through the one coupling partner of
-each level that ``hamiltonian`` gives and an elementwise dephasing factor,
-and stops each Taylor series once its terms fall below round-off; the
-tests check the generator against the readable matrix form.
+For speed the exponential carries the Hermitian state as one real matrix
+X = Re rho + Im rho.  Re rho is symmetric and Im rho antisymmetric, so
+(X + X^T)/2 and (X - X^T)/2 give them back, and as the two are orthogonal
+||X||_F = ||rho||_F: the Taylor series' stopping test reads rho's own norm.
+The generator acts on X through the one coupling partner of each level
+that ``hamiltonian`` gives and an elementwise dephasing factor, and each
+Taylor series stops once its terms fall below round-off; the tests check
+the generator against the readable matrix form.
 """
 
 from __future__ import annotations
@@ -70,17 +73,32 @@ def dephasing_signs(n_max: int) -> np.ndarray:
     return signs
 
 
+def _pack(rho: np.ndarray) -> np.ndarray:
+    """X = Re rho + Im rho of a Hermitian rho."""
+    return rho.real + rho.imag
+
+
+def _unpack(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale rho for the Hermitian rho packed as x: Re rho = (x + x^T)/2 and
+    Im rho = (x - x^T)/2."""
+    rho = np.empty(x.shape, dtype=complex)
+    np.add(x, x.T, out=rho.real)
+    np.subtract(x, x.T, out=rho.imag)
+    rho *= 0.5 * scale
+    return rho
+
+
 def _generator(params: ModelParams):
     """``apply(x, scale, out)``, which writes scale L(x) into out for a
-    Hermitian rho held as x = (Re rho, Im rho), and a bound on ||L||_1.
+    Hermitian rho packed as x = Re rho + Im rho, and a bound on ||L||_1.
 
-    Each level couples to at most one other (its partner), so G = H rho is
-    rho's rows gathered at the partners and scaled by the couplings, and
-    rho H = G^H.  L(rho) = -i (G - G^H) + D rho is then the exactly
-    symmetric Im G + (Im G)^T + D Re rho plus i times the antisymmetric
-    (Re G)^T - Re G + D Im rho.  Column (j, k) of L holds at most |H[j]|,
-    |H[k]| and the dephasing rate of rho[j, k]: their largest sum bounds
-    the 1-norm."""
+    Each level couples to at most one other (its partner p), so H rho is
+    rho's rows gathered at the partners and scaled by the couplings S, and
+    rho H = (H rho)^H.  L(rho) = -i (H rho - rho H) + D rho then packs to
+    L(x) = (S x[p, :] - x[:, p] S)^T + D x = (S x[p, :])^T - S x^T[p, :]
+    + D x: two row gathers, of x and of x^T.  Column (j, k) of L holds at
+    most |H[j]|, |H[k]| and the dephasing rate of rho[j, k]: their largest
+    sum bounds the 1-norm."""
     ham = hamiltonian(params)
     coupled = ham != 0
     if np.any(coupled.sum(axis=1) > 1):
@@ -90,17 +108,18 @@ def _generator(params: ModelParams):
     strength = ham[np.arange(dim), partner]
     signs = dephasing_signs(params.n_max)
     deph = 0.5 * params.gamma_bar * (signs[:, None] * signs[None, :] - 1.0)
-    # Full-size factors multiply about twice as fast as broadcast ones.
-    couplings = np.tile(strength[:, None], (2, 1, dim))
-    rates = np.stack([deph, deph])
-    gathered = np.empty((2, dim, dim))
+    # A full-size factor multiplies about twice as fast as a broadcast one.
+    couplings = np.repeat(strength[:, None], dim, axis=1)
+    gathered = np.empty((dim, dim))
 
     def apply(x: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-        np.take(x, partner, axis=1, out=gathered, mode="clip")
+        np.take(x, partner, axis=0, out=gathered, mode="clip")
         np.multiply(gathered, couplings, out=gathered)
-        np.add(gathered[1], gathered[1].T, out=out[0])
-        np.subtract(gathered[0].T, gathered[0], out=out[1])
-        np.multiply(x, rates, out=gathered)
+        np.copyto(out, gathered.T)
+        np.take(x.T, partner, axis=0, out=gathered, mode="clip")
+        np.multiply(gathered, couplings, out=gathered)
+        out -= gathered
+        np.multiply(x, deph, out=gathered)
         out += gathered
         out *= scale
         return out
@@ -113,19 +132,22 @@ def _generator(params: ModelParams):
 def integrate_path(rho0: np.ndarray, params: ModelParams, taus):
     """Evolve exactly, returning the state at every requested time.
 
-    ``taus`` must be non-negative and strictly increasing.  The path is
-    refused before any work when it would need more than MAX_SUBSTEPS
+    ``taus`` must be finite, non-negative and strictly increasing.  The path
+    is refused before any work when it would need more than MAX_SUBSTEPS
     substeps of ||L||_1 span <= 1, ceil(||L||_1 span) per span.  Each span
     applies exp(span L) as s substeps of the Taylor series of degree at most
     m, the pair from the theta_m table with ||L||_1 span <= s theta_m and
     the fewest generator applications m s (Al-Mohy and Higham, 2011).
     ``rho0`` must be Hermitian to within 1e-12 of its largest entry and is
     symmetrized.  Each returned matrix is re-Hermitized; the carried state
-    is not touched, so the path is a single continuous evolution.
+    is not touched, so the path is a single continuous evolution.  Until the
+    first substep the symmetrized ``rho0`` itself comes back.
     """
     times = [float(t) for t in taus]
     if not times:
         return []
+    if not all(map(math.isfinite, times)):
+        raise ValueError("taus must be finite")
     if times[0] < 0 or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("taus must be non-negative and strictly increasing")
     dim = space_dim(params.n_max)
@@ -147,37 +169,37 @@ def integrate_path(rho0: np.ndarray, params: ModelParams, taus):
             f"(||L||_1 = {norm:.3g}, tau up to {times[-1]:g}), more than "
             f"{MAX_SUBSTEPS}"
         )
+    herm = 0.5 * (rho0 + rho0.conj().T)
     # The stopping test squares entries, so the state is carried scaled by a
     # power of two (exactly) to a largest entry in [0.5, 1).
     scale = 2.0 ** np.frexp(np.max(np.abs(rho0)))[1]
-    rho = np.stack([rho0.real + rho0.real.T, rho0.imag - rho0.imag.T])
-    rho *= 0.5 / scale
-    total, *terms = (np.empty_like(rho) for _ in range(3))
+    x = _pack(herm)
+    x /= scale
+    total, *terms = (np.empty_like(x) for _ in range(3))
     out = []
     for span in spans:
         # A zero span, or a zero generator, takes no substep.
         steps = np.ceil(norm * span / _THETAS)
         best = int(np.argmin(_DEGREES * steps))
         for _ in range(int(steps[best])):
-            _taylor(apply, rho, span / steps[best], _DEGREES[best], total,
+            _taylor(apply, x, span / steps[best], _DEGREES[best], total,
                     terms)
-            rho, total = total, rho
-        herm = np.empty((dim, dim), dtype=complex)
-        np.add(rho[0], rho[0].T, out=herm.real)
-        np.subtract(rho[1], rho[1].T, out=herm.imag)
-        herm *= 0.5 * scale
-        out.append(herm)
+            x, total = total, x
+            herm = None
+        # Unpacking is not bit-exact, so a state that no substep has moved
+        # comes back as the symmetrized rho0 itself.
+        out.append(_unpack(x, scale) if herm is None else herm.copy())
     return out
 
 
-def _taylor(apply, rho, h, degree, total, terms) -> None:
-    """Write into ``total`` the Taylor series of exp(h L) rho, stopped at
+def _taylor(apply, x, h, degree, total, terms) -> None:
+    """Write into ``total`` the Taylor series of exp(h L) x, stopped at
     degree ``degree`` or once two successive terms add up to at most 2^-53
     of the sum, in Frobenius norm (Al-Mohy and Higham, 2011, Algorithm
     3.2).  The terms alternate between the two scratch states ``terms``."""
-    np.copyto(total, rho)
-    term = rho
-    last = math.sqrt(np.vdot(rho, rho))
+    np.copyto(total, x)
+    term = x
+    last = math.sqrt(np.vdot(x, x))
     for k in range(1, degree + 1):
         term = apply(term, h / k, terms[k % 2])
         total += term

@@ -1,13 +1,16 @@
 """Exact master-equation oracle used to certify the closed form."""
 
+import json
 import math
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from phasedjcm import (
+    CATALOG,
     BlockState,
     ModelParams,
     build_initial_state,
@@ -17,9 +20,12 @@ from phasedjcm import (
     integrate_path,
     lindblad,
     propagate,
+    run_scenario,
 )
 from phasedjcm.lindblad import (
     _generator,
+    _pack,
+    _unpack,
     basis_index,
     dephasing_signs,
     hamiltonian,
@@ -65,11 +71,11 @@ def liouvillian(params):
 
 
 def apply_generator(rho, params):
-    """The oracle's generator applied once to a Hermitian rho."""
+    """The oracle's generator applied once to a Hermitian rho, fed packed
+    as X = Re rho + Im rho, with the result unpacked."""
     apply, _ = _generator(params)
-    pair = np.stack([rho.real, rho.imag])
-    out = apply(pair, 1.0, np.empty_like(pair))
-    return out[0] + 1j * out[1]
+    x = _pack(rho)
+    return _unpack(apply(x, 1.0, np.empty_like(x)))
 
 
 def test_basis_layout():
@@ -108,6 +114,19 @@ def test_rhs_is_traceless_and_matches_the_generator():
     assert abs(np.trace(rhs)) < 1e-13
     assert np.allclose(rhs, rhs.conj().T, atol=1e-13)
     np.testing.assert_allclose(apply_generator(rho, params), rhs, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_max", [1, 4, 7])
+def test_packed_state_round_trips_and_keeps_the_norm(n_max):
+    for seed in range(5):
+        rho = random_density(space_dim(n_max), seed=100 * n_max + seed)
+        rho = 0.5 * (rho + rho.conj().T)
+        x = _pack(rho)
+        assert x.dtype == float
+        assert np.max(np.abs(_unpack(x) - rho)) <= 1e-16
+        # Re rho and Im rho are orthogonal, so X has rho's Frobenius norm.
+        norm = np.linalg.norm(rho)
+        assert abs(np.linalg.norm(x) - norm) <= 1e-15 * norm
 
 
 def test_generator_norm_bound_covers_the_exact_norm():
@@ -164,6 +183,15 @@ def test_integrate_path_zero_time_and_input_guards():
     with pytest.raises(ValueError, match="finite"):
         integrate_path(bad, params, [1.0])
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("taus", [[math.nan, 1.0], [0.5, math.nan],
+                                  [math.inf]])
+def test_integrate_path_refuses_non_finite_times(taus):
+    params = make_params(gamma_bar=0.02, n_max=4)
+    rho0 = random_density(space_dim(4), seed=6)
+    with pytest.raises(ValueError, match="taus must be finite"):
+        integrate_path(rho0, params, taus)
 
 
 def invariant_subspaces(liou):
@@ -383,3 +411,49 @@ def test_closed_form_matches_integrator():
         rho1 = integrate_path(rho0, params, [tau])[0]
         report = compare_states(rho1, propagate(state, params, tau))
         assert report.max_abs < 1e-12
+
+
+CATALOG_ROWS = (Path(__file__).resolve().parent.parent
+                / "perfbench" / "reference" / "catalog.json")
+
+
+def dense_columns(rho, n_max):
+    """The runner's entropy columns and inversion of a dense state, read
+    without the blocks: eigvalsh of the state and of its partial traces
+    (taken by reshaping), and its diagonal for the decohered entropy and
+    the inversion."""
+    split = rho.reshape(n_max + 1, 2, n_max + 1, 2)
+    diag = np.diag(rho).real
+    s_joint = von_neumann(rho)
+    s_decohered = von_neumann(np.diag(diag))
+    return {
+        "s_joint": s_joint,
+        "s_atom": von_neumann(np.einsum("ninj->ij", split)),
+        "s_rad": von_neumann(np.einsum("nimi->nm", split)),
+        "deficit": s_decohered - s_joint,
+        "inversion": float(diag[0::2].sum() - diag[1::2].sum()),
+    }
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig5b"])
+def test_runner_columns_match_the_oracle_at_catalog_rows(name):
+    # The N = 5 scenarios at the rows the benchmark references sample: the
+    # runner's two-step blocks against the dense oracle state, column by
+    # column.
+    with open(CATALOG_ROWS, encoding="ascii") as fh:
+        reference = json.load(fh)["files"]
+    scenario = CATALOG[name]
+    grid = scenario.grid()
+    worst, compared = 0.0, 0
+    for curve, series in zip(scenario.curves, run_scenario(scenario)):
+        rows = sorted(map(int, reference[f"{name}__{series.label}.csv"]
+                          ["rows"]))
+        params = curve.params
+        path = integrate_path(dense_from_block(build_initial_state(params)),
+                              params, grid[rows])
+        for i, rho in zip(rows, path):
+            for column, want in dense_columns(rho, params.n_max).items():
+                worst = max(worst, abs(series.columns[column][i] - want))
+                compared += 1
+    assert compared == 6 * 8 * 5
+    assert worst < 1e-12
