@@ -22,13 +22,11 @@ from .model import (
     BlockState,
     ModelParams,
     ParameterError,
-    ValidationReport,
     build_initial_state,
     default_n_max,
     params_from_mapping,
     poisson_pmf,
     poisson_tail,
-    validate_params,
 )
 from .observables import (
     EntropyReport,
@@ -51,7 +49,6 @@ __all__ = [
     "Scenario",
     "TAIL_TOL",
     "TimeSeries",
-    "ValidationReport",
     "asymptotic_state",
     "build_initial_state",
     "compare_states",
@@ -67,5 +64,4 @@ __all__ = [
     "poisson_tail",
     "propagate",
     "run_scenario",
-    "validate_params",
 ]

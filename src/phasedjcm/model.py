@@ -17,7 +17,8 @@ carry a leading batch axis of several such states, one per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +51,8 @@ def default_n_max(mean_photons: float) -> int:
     neglected tail measures at most about 1e-32 for every mean N up to
     1e5 (9.98e-34 at N = 20, 3.6e-33 at 1e3, 2.0e-33 at 1e5).
     """
-    if mean_photons <= 0:
-        raise ValueError("mean_photons must be positive")
+    if not 0.0 < mean_photons < math.inf:
+        raise ValueError("mean_photons must be positive and finite")
     return math.ceil(mean_photons + 12.0 * math.sqrt(mean_photons) + 20.0)
 
 
@@ -82,8 +83,8 @@ class ModelParams:
     def __post_init__(self):
         if self.n_max is None:
             # Out-of-range or non-finite means are reported by
-            # validate_params, not here; the placeholder keeps the cutoff
-            # usable as an integer.
+            # build_initial_state, not here; the placeholder keeps the
+            # cutoff usable as an integer.
             mean = self.mean_photons
             cutoff = default_n_max(mean) if math.isfinite(mean) and mean > 0 else 1
             object.__setattr__(self, "n_max", cutoff)
@@ -314,44 +315,28 @@ def _initial_arrays(params: ModelParams, lam: np.ndarray):
     return a, b, c
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_params: hard errors plus advisory warnings."""
+def build_initial_state(params: ModelParams, lam=None) -> BlockState:
+    """Bell mixture (1 - lam) * rho_atom x rho_field + lam * Bell average,
+    after checking every parameter.
 
-    errors: tuple = field(default_factory=tuple)
-    warnings: tuple = field(default_factory=tuple)
+    The factored piece is diag(p11, p22) for the atom against a Poisson
+    field; the Bell piece averages |B(n)><B(n)| over the same Poisson
+    weights, with |B(n)> = sqrt(q11) |n,1> + sqrt(q22) e^{i phi} |n+1,2>.
+    ``lam`` replaces ``params.lam`` when given: a 1-D array of weights gives
+    a batched state, one row per weight, and every weight is validated.
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_params(params: ModelParams) -> ValidationReport:
-    """Check finiteness, ranges, underdamping, truncation, and initial-state
-    positivity.
-
-    The decisive positivity test diagonalizes every initial 2x2 block
-    directly.  The closed-form inequality on the mixture weights is reported
-    only as a warning when it fails, since it is sufficient but not always
-    tight for 0 < lam < 1.
+    Checks finiteness, then ranges, then the pair frequencies, then the
+    Poisson tail above n_max, then the positivity of every initial 2x2
+    block; the first stage that fails raises ParameterError with all of its
+    messages.
     """
-    return _validate(params, params.lam)[0]
-
-
-def _validate(params: ModelParams, lam):
-    """The report of validate_params with ``lam`` as the mixture weight, and
-    the initial state it checked, or None when a check before the positivity
-    test failed.  A 1-D array of weights is checked weight by weight and
-    gives the batched state."""
-    lam = np.asarray(lam, dtype=float)
+    lam = np.asarray(params.lam if lam is None else lam, dtype=float)
     values = {key: lam if name == "lam" else getattr(params, name)
               for name, key, _ in _PARAMS}
     errors = [f"{key} must be finite" for key, value in values.items()
               if not np.all(np.isfinite(value))]
     if errors:
-        return ValidationReport(errors=tuple(errors)), None
-    warnings = []
-    state = None
+        raise ParameterError("; ".join(errors))
 
     if not params.kappa_bar > 0:
         errors.append("kappa_bar must be positive")
@@ -369,69 +354,29 @@ def _validate(params: ModelParams, lam):
         errors.append("bell_phase must lie in [0, 2 pi)")
     if not (isinstance(params.n_max, (int, np.integer)) and params.n_max >= 1):
         errors.append("n_max must be an integer >= 1")
+    if errors:
+        raise ParameterError("; ".join(errors))
 
-    if not errors:
-        # The slowest pair decides whether any is overdamped, the fastest
-        # whether any frequency overflows.
-        try:
-            rabi_frequency(params, np.array([0, params.n_max - 1]))
-        except ValueError as exc:
-            errors.append(str(exc))
+    # The slowest pair decides whether any is overdamped, the fastest
+    # whether any frequency overflows.
+    try:
+        rabi_frequency(params, np.array([0, params.n_max - 1]))
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from None
 
-    if not errors:
-        # The state's arrays come first: the tail then never costs more
-        # than they do, and an n_max too large to hold fails at once.
-        arrays = _initial_arrays(params, lam)
-        tail = poisson_tail(params.mean_photons, params.n_max)
-        if tail >= TAIL_TOL:
-            errors.append(
-                f"Poisson tail above n_max is {tail:.3e} >= {TAIL_TOL:.1e}; "
-                "raise n_max"
-            )
+    # The state's arrays come first: the tail then never costs more than
+    # they do, and an n_max too large to hold fails at once.
+    arrays = _initial_arrays(params, lam)
+    tail = poisson_tail(params.mean_photons, params.n_max)
+    if tail >= TAIL_TOL:
+        raise ParameterError(f"Poisson tail above n_max is {tail:.3e} >= "
+                             f"{TAIL_TOL:.1e}; raise n_max")
 
-    if not errors:
-        state = BlockState(*arrays)
-        lowest = float(np.min(state.min_eigenvalue()))
-        if lowest < -1e-12:
-            errors.append(
-                "initial state is not positive semidefinite "
-                f"(min block eigenvalue {lowest:.3e})"
-            )
-
-        # Warnings reach callers only through validate_params, which checks
-        # one weight.
-        if lam.ndim == 0 and 0.0 < lam < 1.0:
-            n = np.arange(params.n_max + 1, dtype=float)
-            bound = (
-                lam
-                * ((n + 1.0) * params.p11 * params.q22
-                   + params.mean_photons * params.p22 * (params.q11 - params.p11))
-                + params.mean_photons * params.p11 * params.p22
-            )
-            bad = np.nonzero(bound < 0)[0]
-            if bad.size:
-                warnings.append(
-                    "advisory mixture-weight inequality fails at n = "
-                    f"{bad[0]} (and {bad.size - 1} more); positivity was "
-                    "checked directly and decides validity"
-                )
-
-    report = ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
-    return report, state
-
-
-def build_initial_state(params: ModelParams, lam=None) -> BlockState:
-    """Bell mixture (1 - lam) * rho_atom x rho_field + lam * Bell average.
-
-    The factored piece is diag(p11, p22) for the atom against a Poisson
-    field; the Bell piece averages |B(n)><B(n)| over the same Poisson
-    weights, with |B(n)> = sqrt(q11) |n+1,1> + sqrt(q22) e^{-i phi} |n,2>.
-    ``lam`` replaces ``params.lam`` when given: a 1-D array of weights gives
-    a batched state, one row per weight, and every weight is validated.
-    """
-    report, state = _validate(params, params.lam if lam is None else lam)
-    if report.errors:
-        raise ParameterError("; ".join(report.errors))
+    state = BlockState(*arrays)
+    lowest = float(np.min(state.min_eigenvalue()))
+    if lowest < -1e-12:
+        raise ParameterError("initial state is not positive semidefinite "
+                             f"(min block eigenvalue {lowest:.3e})")
     return state
 
 
@@ -449,10 +394,15 @@ def params_from_mapping(mapping: dict) -> ModelParams:
         except (TypeError, ValueError):
             raise ParameterError(f"parameter {key!r}: not a number: {raw!r}")
     if "n_max" in mapping:
+        raw = mapping["n_max"]
+        # Integer types and strings of an integer only: int() alone would
+        # cut 60.7 to 60, and bool, an int type, would read True as 1.
         try:
-            kwargs["n_max"] = int(mapping["n_max"])
+            n_max = int(raw) if isinstance(raw, str) else operator.index(raw)
         except (TypeError, ValueError):
-            raise ParameterError(f"parameter 'n_max': not an integer: "
-                                 f"{mapping['n_max']!r}")
+            n_max = None
+        if n_max is None or isinstance(raw, bool):
+            raise ParameterError(f"parameter 'n_max': not an integer: {raw!r}")
+        kwargs["n_max"] = n_max
     return ModelParams(**kwargs)
 

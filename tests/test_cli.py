@@ -521,12 +521,14 @@ def test_package_imports_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, phasedjcm, phasedjcm.cli; "
+    # The library alone must not pull in the command line either.
+    code = ("import sys, phasedjcm; print('phasedjcm.cli' in sys.modules); "
+            "import phasedjcm.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["False", "[]"]
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -17,7 +17,6 @@ from phasedjcm import (
     params_from_mapping,
     poisson_pmf,
     poisson_tail,
-    validate_params,
 )
 
 
@@ -115,6 +114,13 @@ def test_default_n_max_keeps_tail_small():
         assert poisson_tail(mean, default_n_max(mean)) < TAIL_TOL
 
 
+@pytest.mark.parametrize("mean", [math.inf, math.nan, 0.0, -1.0])
+def test_default_n_max_refuses_a_mean_outside_the_positive_reals(mean):
+    with pytest.raises(ValueError,
+                       match="mean_photons must be positive and finite"):
+        default_n_max(mean)
+
+
 def test_factored_state_has_no_coherence():
     state = build_initial_state(make_params(lam=0.0))
     assert np.all(state.c == 0)
@@ -152,29 +158,31 @@ def test_initial_marginals_match_closed_form():
 
 
 def test_validate_accepts_factored_and_bell_ends():
-    assert validate_params(make_params(lam=0.0)).ok
+    build_initial_state(make_params(lam=0.0))
     for q11 in (0.1, 0.5, 0.9):
-        assert validate_params(make_params(lam=1.0, q11=q11)).ok
+        build_initial_state(make_params(lam=1.0, q11=q11))
 
 
 def test_validate_rejects_overdamped():
-    report = validate_params(make_params(kappa_bar=1.0, gamma_bar=5.0))
-    assert not report.ok
-    assert any("overdamped" in e for e in report.errors)
+    with pytest.raises(ParameterError, match="overdamped"):
+        build_initial_state(make_params(kappa_bar=1.0, gamma_bar=5.0))
 
 
 def test_validate_rejects_bad_ranges():
-    assert not validate_params(make_params(lam=1.5)).ok
-    assert not validate_params(make_params(p11=-0.2)).ok
-    assert not validate_params(make_params(q11=1.0)).ok
-    assert not validate_params(make_params(bell_phase=7.0)).ok
-    assert not validate_params(make_params(mean_photons=-1.0)).ok
+    for overrides, message in [
+        (dict(lam=1.5), "lambda must lie in"),
+        (dict(p11=-0.2), "p11 must lie in"),
+        (dict(q11=1.0), "q11 must lie strictly inside"),
+        (dict(bell_phase=7.0), "bell_phase must lie in"),
+        (dict(mean_photons=-1.0), "mean_photons must be positive"),
+    ]:
+        with pytest.raises(ParameterError, match=message):
+            build_initial_state(make_params(**overrides))
 
 
 def test_validate_rejects_thin_truncation():
-    report = validate_params(make_params(n_max=5))
-    assert not report.ok
-    assert any("tail" in e for e in report.errors)
+    with pytest.raises(ParameterError, match="tail"):
+        build_initial_state(make_params(n_max=5))
 
 
 def test_build_initial_state_propagates_validation():
@@ -219,11 +227,9 @@ def test_valid_params_give_positive_blocks():
             bell_phase=float(rng.uniform(0, 2 * math.pi)),
             mean_photons=float(rng.uniform(0.5, 20.0)),
         )
-        report = validate_params(params)
-        if report.ok:
-            state = build_initial_state(params)
-            assert state.min_eigenvalue() >= -1e-12
-            assert abs(state.trace() - 1.0) < TAIL_TOL
+        state = build_initial_state(params)
+        assert state.min_eigenvalue() >= -1e-12
+        assert abs(state.trace() - 1.0) < TAIL_TOL
 
 
 def test_blockstate_shape_checks():
@@ -252,3 +258,10 @@ def test_config_defaults_and_unknown_keys():
         params_from_mapping({"mean_photon": "20"})
     with pytest.raises(ParameterError):
         params_from_mapping({"p11": "just some words"})
+    assert params_from_mapping({"n_max": 60}).n_max == 60
+    assert params_from_mapping({"n_max": np.int64(60)}).n_max == 60
+    # int() would cut the first to 60 and read the second as 1
+    for raw in (60.7, True):
+        with pytest.raises(ParameterError,
+                           match="parameter 'n_max': not an integer"):
+            params_from_mapping({"n_max": raw})

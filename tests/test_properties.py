@@ -25,8 +25,11 @@ from phasedjcm import (
     ModelParams,
     Scenario,
     build_initial_state,
+    compare_states,
     concurrence_lower_bound,
+    dense_from_block,
     entropy_report,
+    integrate_path,
     poisson_sum_inversion,
     propagate,
     run_scenario,
@@ -113,6 +116,21 @@ def test_araki_lieb_and_subadditivity(params, taus):
     rep = entropy_report(states)
     assert np.all(np.abs(rep.s_atom - rep.s_rad) <= rep.s_joint + 1e-10)
     assert np.all(rep.s_joint <= rep.s_atom + rep.s_rad + 1e-10)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(valid_params(mean_photons=st.floats(0.5, 5.0)),
+       st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3, unique=True))
+def test_oracle_matches_closed_form(params, taus):
+    """The master-equation oracle against the closed form at every
+    checkpoint.  n_max = 30 leaves a Poisson tail below 4e-15 for N <= 5."""
+    params = replace(params, n_max=30)
+    taus = sorted(taus)
+    initial = build_initial_state(params)
+    path = integrate_path(dense_from_block(initial), params, taus)
+    for tau, dense in zip(taus, path):
+        report = compare_states(dense, propagate(initial, params, tau))
+        assert report.max_abs < 1e-12, (tau, report)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
