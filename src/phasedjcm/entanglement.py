@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BlockState, _per_row
+from .model import BlockState, _abs_sq, _levels, _per_row, _split_levels
 
 # Projections carrying less weight than this are skipped: their normalized
 # concurrence is numerically meaningless and their weight cannot matter.
@@ -30,19 +30,38 @@ def concurrence_lower_bound(state: BlockState):
     Runs over n = 0..n_max-1; projections below the weight floor are
     skipped.  Returns a float, or one value per row of a batched state.
     """
-    # Clip tiny negative populations left by round-off before the square
-    # roots.
-    a = np.maximum(state.a, 0.0)
-    b = np.maximum(state.b, 0.0)
-    v, w, x, y = b[..., :-1], b[..., 1:], a[..., :-1], a[..., 1:]
-    az = np.abs(state.c)
-    t = v + w + x + y
+    return _per_row(_clb(_levels(state), _abs_sq(state.c)))
 
-    keep = t >= _WEIGHT_FLOOR
-    weight = np.where(keep, t, 0.0)
-    raw = np.divide(2.0 * (np.minimum(az, np.sqrt(w * x)) - np.sqrt(v * y)),
-                    t, out=np.zeros_like(t), where=keep)
-    conc = np.clip(raw, 0.0, 1.0)
-    total = np.sum(weight, axis=-1)
-    return _per_row(np.divide(np.sum(conc * weight, axis=-1), total,
-                              out=np.zeros_like(total), where=total > 0.0))
+
+def _clb(levels, c_sq, photon=None, work=(None, None, None)) -> np.ndarray:
+    """The concurrence lower bound of the states whose populations a and b
+    are the two halves of ``levels`` along the last axis, with squared
+    coherences c_sq, as an array.  ``photon`` is their photon distribution
+    a + b when known, and ``work`` an optional triple of arrays of c_sq's
+    shape."""
+    if levels.size and levels.min() < 0.0:
+        # Clip tiny negative populations left by round-off before the
+        # square roots.
+        levels, photon = np.maximum(levels, 0.0), None
+    a, b = _split_levels(levels)
+    if photon is None:
+        photon = a + b
+    # t = p(n) + p(n+1).  A kept projection adds t times its concurrence,
+    # 2 (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to [0, t]; a skipped one
+    # adds 0 to both sums.  The square root is monotone, so
+    # min(|z|, sqrt(w x)) = sqrt(min(|z|^2, w x)).
+    t = np.add(photon[..., :-1], photon[..., 1:], out=work[0])
+    weighted = np.multiply(a[..., :-1], b[..., 1:], out=work[1])
+    np.minimum(c_sq, weighted, out=weighted)
+    np.sqrt(weighted, out=weighted)
+    root = np.multiply(b[..., :-1], a[..., 1:], out=work[2])
+    weighted -= np.sqrt(root, out=root)
+    weighted *= 2.0
+    np.maximum(weighted, 0.0, out=weighted)
+    np.minimum(weighted, t, out=weighted)
+    skip = ~(t >= _WEIGHT_FLOOR)
+    np.copyto(t, 0.0, where=skip)
+    np.copyto(weighted, 0.0, where=skip)
+    total = t.sum(axis=-1)
+    return np.divide(weighted.sum(axis=-1), total,
+                     out=np.zeros_like(total), where=total > 0.0)

@@ -241,25 +241,58 @@ class BlockState:
 
     def min_eigenvalue(self):
         """Smallest eigenvalue over all 2x2 blocks and unpaired levels."""
-        return _per_row(np.min(_spectrum(self), axis=-1))
+        return _per_row(np.min(_spectrum(self.a, self.b, _abs_sq(self.c)),
+                               axis=-1))
 
 
-def _pair_eigenvalues(a, b_hi, c):
-    """Eigenvalues (upper, lower) of the 2x2 blocks [[a, c], [c*, b_hi]],
-    elementwise."""
-    half_sum = 0.5 * (a + b_hi)
-    disc = np.sqrt(0.25 * (a - b_hi) ** 2 + np.abs(c) ** 2)
-    return half_sum + disc, half_sum - disc
+def _abs_sq(c):
+    """|c|^2 = Re c * Re c + Im c * Im c of a complex array, elementwise."""
+    c_sq = c.real * c.real
+    c_sq += c.imag * c.imag
+    return c_sq
 
 
-def _spectrum(state: BlockState) -> np.ndarray:
-    """All 2 (n_max + 1) eigenvalues of the state along the last axis: the
-    unpaired b[0], the upper eigenvalue of every pair, the unpaired
-    a[n_max] (its partner lies above the truncation), then the lower ones."""
-    upper, lower = _pair_eigenvalues(state.a[..., :-1], state.b[..., 1:],
-                                     state.c)
-    return np.concatenate([state.b[..., :1], upper, state.a[..., -1:], lower],
-                          axis=-1)
+def _levels(state: BlockState) -> np.ndarray:
+    """The populations a and b of a state side by side along the last
+    axis, as the column helpers take them."""
+    return np.concatenate([state.a, state.b], axis=-1)
+
+
+def _split_levels(levels):
+    """The populations (a, b) laid side by side by ``_levels``, as views."""
+    half = levels.shape[-1] // 2
+    return levels[..., :half], levels[..., half:]
+
+
+def _pair_eigenvalues(a, b_hi, c_sq, out=(None, None)):
+    """Eigenvalues (upper, lower) of the 2x2 blocks [[a, c], [c*, b_hi]]
+    with |c|^2 = c_sq, elementwise; written into the pair ``out`` of arrays
+    when it is given."""
+    disc = a - b_hi
+    disc *= disc
+    disc *= 0.25
+    disc += c_sq
+    np.sqrt(disc, out=disc)
+    half_sum = np.add(a, b_hi, out=out[1])
+    half_sum *= 0.5
+    upper = np.add(half_sum, disc, out=out[0])
+    return upper, np.subtract(half_sum, disc, out=half_sum)
+
+
+def _spectrum(a, b, c_sq, out=None) -> np.ndarray:
+    """All 2 (n_max + 1) eigenvalues of the state with populations a, b and
+    squared coherences c_sq, along the last axis: the unpaired b[0], the
+    upper eigenvalue of every pair, the unpaired a[n_max] (its partner lies
+    above the truncation), then the lower ones.  ``out`` is an optional
+    array to write them into."""
+    n_max = a.shape[-1] - 1
+    if out is None:
+        out = np.empty(a.shape[:-1] + (2 * n_max + 2,))
+    out[..., 0] = b[..., 0]
+    out[..., n_max + 1] = a[..., n_max]
+    _pair_eigenvalues(a[..., :-1], b[..., 1:], c_sq,
+                      out=(out[..., 1:n_max + 1], out[..., n_max + 2:]))
+    return out
 
 
 def rabi_frequency(params: ModelParams, n):
@@ -389,10 +422,14 @@ def params_from_mapping(mapping: dict) -> ModelParams:
     kwargs = {}
     for name, key, default in _PARAMS:
         raw = mapping.get(key, default)
+        # Numbers and numeric strings only: float() would read True as 1.0.
         try:
-            kwargs[name] = float(raw)
+            value = None if isinstance(raw, (bool, np.bool_)) else float(raw)
         except (TypeError, ValueError):
+            value = None
+        if value is None:
             raise ParameterError(f"parameter {key!r}: not a number: {raw!r}")
+        kwargs[name] = value
     if "n_max" in mapping:
         raw = mapping["n_max"]
         # Integer types and strings of an integer only: int() alone would

@@ -12,20 +12,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockState, _per_row, _spectrum
+from .model import (BlockState, _abs_sq, _levels, _per_row, _spectrum,
+                    _split_levels)
 
 # Weights below this are dropped from entropy sums (0 ln 0 := 0, and the
 # logarithm would otherwise overflow for denormals).
 _ENTROPY_FLOOR = 1e-300
 
 
+def _entropy(w: np.ndarray, terms=None) -> np.ndarray:
+    """-sum w ln w of a float array along its last axis, over the entries
+    above the underflow floor.  ``terms`` is an optional work array of w's
+    shape."""
+    # The logarithm reads 1, so each term is 0, wherever w is not above the
+    # floor.
+    if terms is None:
+        terms = w.copy()
+    else:
+        np.copyto(terms, w)
+    np.putmask(terms, w <= _ENTROPY_FLOOR, 1.0)
+    np.log(terms, out=terms)
+    terms *= w
+    return -terms.sum(axis=-1)
+
+
 def shannon_entropy(weights):
     """-sum w ln w along the last axis, over the entries above the underflow
     floor (a nan weight gives nan); a float for 1-D weights, one value per
     row otherwise."""
-    w = np.asarray(weights, dtype=float)
-    logw = np.log(w, out=np.zeros(w.shape), where=w > _ENTROPY_FLOOR)
-    return _per_row(-np.sum(w * logw, axis=-1))
+    return _per_row(_entropy(np.asarray(weights, dtype=float)))
 
 
 def reduced_states(state: BlockState):
@@ -71,12 +86,27 @@ class EntropyReport:
 def entropy_report(state: BlockState) -> EntropyReport:
     """Compute every entropy functional of one state, or of each row of a
     batched state."""
-    photon, w1, w2 = reduced_states(state)
-    s_atom = shannon_entropy(np.stack([w1, w2], axis=-1))
-    s_rad = shannon_entropy(photon)
-    s_joint = shannon_entropy(_spectrum(state))
-    s_dec = shannon_entropy(np.concatenate([state.a, state.b], axis=-1))
-    return EntropyReport(
+    return _entropies(_levels(state), _abs_sq(state.c))
+
+
+def _entropies(levels, c_sq, photon=None,
+               work=(None, None)) -> EntropyReport:
+    """The entropy report of the states whose populations a and b are the
+    two halves of ``levels`` along the last axis, with squared coherences
+    c_sq.  ``photon`` is their photon distribution a + b when known, and
+    ``work`` an optional pair of arrays of levels' shape for the spectrum
+    and the entropy terms.
+    """
+    a, b = _split_levels(levels)
+    if photon is None:
+        photon = a + b
+    spectrum, terms = work
+    w1, w2 = np.sum(a, axis=-1), np.sum(b, axis=-1)
+    s_atom = _entropy(np.stack([w1, w2], axis=-1))
+    s_rad = _entropy(photon)
+    s_joint = _entropy(_spectrum(a, b, c_sq, out=spectrum), terms)
+    s_dec = _entropy(levels, terms)
+    fields = dict(
         s_atom=s_atom,
         s_rad=s_rad,
         s_joint=s_joint,
@@ -87,3 +117,5 @@ def entropy_report(state: BlockState) -> EntropyReport:
         mutual=s_atom + s_rad - s_joint,
         inversion=w1 - w2,
     )
+    return EntropyReport(**{name: _per_row(value)
+                            for name, value in fields.items()})

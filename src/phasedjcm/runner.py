@@ -3,7 +3,11 @@
 Each catalog scenario bundles one figure's worth of curves; a curve is one
 parameter set swept over tau (or, for the initial state scans, over the
 mixture weight lambda).  A curve is evaluated in blocks of grid rows, each
-block one batched state, so every layer sees whole rows at once.  Output is
+block one batched state, so every layer sees whole rows at once: a tau
+curve propagates its first block from tau = 0 and moves that block's rows
+on in place, by one scalar time, for every later block, while a lambda scan
+builds each block's initial states.  One column kernel, ``_write_columns``,
+turns every block into the computed columns.  Output is
 one CSV per curve with a fixed column set, printed with 9 significant
 digits and line-feed endings so repeated runs are byte-identical.
 """
@@ -15,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import concurrence_lower_bound
-from .evolution import propagate
-from .model import BlockState, ModelParams, build_initial_state
-from .observables import entropy_report
+from .entanglement import _clb
+from .evolution import _MovedRows, propagate
+from .model import (ModelParams, _abs_sq, _levels, _split_levels,
+                    build_initial_state)
+from .observables import _entropies
 from .revival import poisson_sum_inversion
 
 COLUMNS = (
@@ -96,13 +101,42 @@ class TimeSeries:
     columns: dict
 
 
+def _work_arrays(rows: int, n_max: int) -> tuple:
+    """Work arrays for blocks of up to ``rows`` states: the photon
+    distribution, the spectrum and the entropy terms, and three for the
+    concurrence bound."""
+    return (np.empty((rows, n_max + 1)),
+            *(np.empty((rows, 2 * n_max + 2)) for _ in range(2)),
+            *(np.empty((rows, n_max)) for _ in range(3)))
+
+
+def _write_columns(cols: dict, block: slice, levels, c_sq, work) -> None:
+    """Write the nine computed columns of a block of states into
+    ``cols[name][block]``.
+
+    The states' populations a and b are the two halves of ``levels`` and
+    c_sq their squared coherences.  The entropies and the concurrence bound
+    share the photon distribution and c_sq.  The large temporaries of a
+    block live in ``work`` (from ``_work_arrays``), reused block after
+    block, or are allocated when it is None."""
+    rows = levels.shape[0]
+    photon, *work = ((None,) * 6 if work is None
+                     else (arr[:rows] for arr in work))
+    photon = np.add(*_split_levels(levels), out=photon)
+    report = _entropies(levels, c_sq, photon, work[:2])
+    cols["clb"][block] = _clb(levels, c_sq, photon, work[2:])
+    for name in COLUMNS[1:-1]:
+        cols[name][block] = getattr(report, name)
+
+
 def _run_curve(scenario: Scenario, curve: Curve,
                grid: np.ndarray) -> TimeSeries:
     """Every column along ``grid``, evaluated one block of rows at a time.
 
     The sweeps differ only in the batched state at a block of grid points:
     the initial state propagated to each tau, or the validated initial state
-    at each lambda (where tau = 0).
+    at each lambda (where tau = 0).  Every block's columns come from
+    ``_write_columns``.
     """
     params = curve.params
     if scenario.sweep == "tau":
@@ -114,27 +148,29 @@ def _run_curve(scenario: Scenario, curve: Curve,
         build_initial_state(params, grid[[0, -1]])
         tau, lam = 0.0, grid
     cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}
-    rows = max(1, _BLOCK_ENTRIES // (params.n_max + 1))
+    rows = min(grid.size, max(1, _BLOCK_ENTRIES // (params.n_max + 1)))
+    # A later tau block makes no other large temporary, so work arrays held
+    # for the curve spare it the page faults of a heap that glibc trims
+    # after every block; a lambda block builds its state afresh, and held
+    # arrays would only raise its peak.
+    work = _work_arrays(rows, params.n_max) if lam is None else None
     for lo in range(0, grid.size, rows):
         block = slice(lo, lo + rows)
         if lam is not None:
             state = build_initial_state(params, grid[block])
+            levels, c_sq = _levels(state), _abs_sq(state.c)
         elif lo == 0:
             # Only the first block is propagated from tau = 0, one phase per
             # row and pair; every later block moves the first block's rows
-            # on by one scalar time, one phase per pair.  Each sample is
-            # reached in at most two exact steps, so no error accumulates
-            # along the grid.
-            first = state = propagate(initial, params, grid[block])
+            # on by one scalar time, one phase per pair, in place.  Each
+            # sample is reached in at most two exact steps, so no error
+            # accumulates along the grid.
+            first = _MovedRows(propagate(initial, params, grid[block]),
+                               params)
+            levels, c_sq = first.levels, first.c_sq
         else:
-            size = grid[block].size
-            head = first if size == rows else BlockState(
-                first.a[:size], first.b[:size], first.c[:size])
-            state = propagate(head, params, grid[lo] - grid[0])
-        rep = entropy_report(state)
-        cols["clb"][block] = concurrence_lower_bound(state)
-        for name in COLUMNS[1:-1]:
-            cols[name][block] = getattr(rep, name)
+            levels, c_sq = first.move(grid[lo] - grid[0], grid[block].size)
+        _write_columns(cols, block, levels, c_sq, work)
     if params.gamma_bar == 0:
         cols["inversion_asym"] = poisson_sum_inversion(params, tau, lam=lam)
     else:

@@ -289,5 +289,5 @@ def test_spectral_sums_match_block_traces():
             shannon_entropy(spectrum), abs=1e-12)
         assert s.min_eigenvalue() == pytest.approx(spectrum[0], abs=1e-12)
         assert s.min_eigenvalue() >= -1e-12
-        np.testing.assert_allclose(np.sort(_spectrum(s)), spectrum, rtol=0,
+        np.testing.assert_allclose(np.sort(_spectrum(s.a, s.b, np.abs(s.c) ** 2)), spectrum, rtol=0,
                                    atol=1e-12)

@@ -186,8 +186,9 @@ def test_validate_rejects_thin_truncation():
 
 
 def test_build_initial_state_propagates_validation():
-    with pytest.raises(ParameterError):
-        build_initial_state(make_params(gamma_bar=5.0))
+    # N = 20 leaves a Poisson tail of 1.3e-2 above n_max = 30.
+    with pytest.raises(ParameterError, match="raise n_max"):
+        build_initial_state(make_params(mean_photons=20.0, n_max=30))
 
 
 def test_batched_initial_state_equals_one_build_per_weight():
@@ -265,3 +266,9 @@ def test_config_defaults_and_unknown_keys():
         with pytest.raises(ParameterError,
                            match="parameter 'n_max': not an integer"):
             params_from_mapping({"n_max": raw})
+    # float() would read True as 1.0 and False as 0.0
+    for key, raw in (("lambda", True), ("p11", False), ("kappa_bar", True),
+                     ("gamma_bar", np.bool_(False))):
+        with pytest.raises(ParameterError,
+                           match=f"parameter '{key}': not a number"):
+            params_from_mapping({key: raw})

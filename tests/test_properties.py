@@ -21,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasedjcm import (
+    COLUMNS,
+    BlockState,
     Curve,
     ModelParams,
     Scenario,
@@ -35,7 +37,9 @@ from phasedjcm import (
     run_scenario,
 )
 from phasedjcm.cli import main
-from phasedjcm.runner import _BLOCK_ENTRIES
+from phasedjcm.evolution import _MovedRows
+from phasedjcm.model import _abs_sq, _levels
+from phasedjcm.runner import _BLOCK_ENTRIES, _work_arrays, _write_columns
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
                              derandomize=True)
@@ -189,6 +193,45 @@ def test_runner_blocks_match_one_direct_step_per_row(mean_photons, gamma_bar):
                      "s_joint", "rel_atom", "rel_rad", "inversion"):
             assert abs(series.columns[name][i] - want[name]) <= 1e-12, (
                 name, tau)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(valid_params(mean_photons=st.floats(0.5, 20.0)), st.integers(2, 9),
+       st.floats(0.0, 60.0), st.booleans())
+def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
+    """The runner's column kernel on a first block, a short later block
+    moved on in place and a lambda-sweep block, against entropy_report and
+    concurrence_lower_bound of the same states.  Both compute through the
+    same helpers, so they agree bit for bit, well inside 1e-13.  A Bell
+    start gets b[0] = -1e-18, a population left negative by round-off (b[0]
+    is a constant of the motion), so the bound's clip runs on every
+    block."""
+    if bell:
+        params = replace(params, lam=1.0)
+    initial = build_initial_state(params)
+    if bell:
+        initial = BlockState(initial.a, np.append(-1e-18, initial.b[1:]),
+                             initial.c)
+    first = propagate(initial, params, np.linspace(0.0, 2.0, rows))
+    moved = _MovedRows(first, params)
+    work = _work_arrays(rows, params.n_max)
+    size = rows - 1
+    lam_state = build_initial_state(params, np.linspace(0.0, 1.0, rows))
+
+    def check(state, levels, c_sq):
+        cols = {name: np.empty(levels.shape[0]) for name in COLUMNS[:-1]}
+        _write_columns(cols, slice(None), levels, c_sq, work)
+        want = vars(entropy_report(state))
+        want["clb"] = concurrence_lower_bound(state)
+        for name in COLUMNS[:-1]:
+            np.testing.assert_array_equal(cols[name], want[name], name)
+
+    check(first, moved.levels, moved.c_sq)
+    head = BlockState(first.a[:size], first.b[:size], first.c[:size])
+    check(propagate(head, params, shift), *moved.move(shift, size))
+    check(lam_state, _levels(lam_state), _abs_sq(lam_state.c))
+    if bell:
+        assert moved.levels.min() < 0.0
 
 
 PARAM_FLAGS = ("--kappa-bar", "--gamma-bar", "--mean-photons", "--lambda",
