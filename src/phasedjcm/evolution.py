@@ -119,12 +119,19 @@ class _MovedRows:
     and ``c_sq``, the squared coherences.  They start out as the state
     itself; the unpaired levels are constants of the motion, so no move
     writes them.
+
+    ``shifts`` holds the times of the later moves.  Their step factors are
+    computed together, one table row per shift, in tables of as many
+    shifts as the state has rows, so a table is never larger than the
+    state itself.
     """
 
-    def __init__(self, state: BlockState, params: ModelParams):
+    def __init__(self, state: BlockState, params: ModelParams, shifts):
         a, b, c = state.a, state.b, state.c
         self.params = params
         self.rates = _pair_rates(params, state.n_max)
+        self.shifts = np.asarray(shifts, dtype=float)
+        self.table = (None, None)
         self.a0 = np.ascontiguousarray(a[:, :-1])
         self.b0 = np.ascontiguousarray(b[:, 1:])
         self.diff = self.a0 - self.b0
@@ -136,11 +143,16 @@ class _MovedRows:
         self.im = np.empty(c.shape)
         self.flow = np.empty(c.shape)
 
-    def move(self, tau: float, rows: int):
-        """(levels, c_sq) of the first ``rows`` rows moved on by ``tau``,
-        each propagated exactly as ``propagate`` does.  They are views of
-        the work arrays, overwritten by the next move."""
-        factors = _step_factors(self.params, self.rates, tau)
+    def move(self, index: int, rows: int):
+        """(levels, c_sq) of the first ``rows`` rows moved on by
+        ``shifts[index]``, each propagated exactly as ``propagate`` does.
+        They are views of the work arrays, overwritten by the next move."""
+        span = self.a0.shape[0]
+        lo = index - index % span
+        if self.table[0] != lo:
+            self.table = lo, _step_factors(self.params, self.rates,
+                                           self.shifts[lo:lo + span])
+        factors = [f[index - lo] for f in self.table[1]]
         levels, c_sq, im, flow = (arr[:rows] for arr in (
             self.levels, self.c_sq, self.im, self.flow))
         a, b = _split_levels(levels)

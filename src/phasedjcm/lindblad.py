@@ -40,7 +40,7 @@ _THETAS = np.array([2.4e-3, 1.4e-1, 6.4e-1, 1.4, 2.4, 3.5, 4.7, 6.0, 7.2,
 
 
 def basis_index(n: int, i: int) -> int:
-    """Flat index of |n, i> with i = 1 (ground) or 2 (excited)."""
+    """Flat index of |n, i> with i = 1 (upper level) or 2 (lower level)."""
     if i not in (1, 2):
         raise ValueError("atomic level must be 1 or 2")
     if n < 0:
@@ -58,9 +58,10 @@ def hamiltonian(params: ModelParams) -> np.ndarray:
     dim = space_dim(params.n_max)
     ham = np.zeros((dim, dim))
     for n in range(params.n_max):
-        g = basis_index(n, 1)
-        e = basis_index(n + 1, 2)
-        ham[g, e] = ham[e, g] = params.kappa_bar * math.sqrt(n + 1.0)
+        upper = basis_index(n, 1)
+        lower = basis_index(n + 1, 2)
+        ham[upper, lower] = ham[lower, upper] = (params.kappa_bar
+                                                 * math.sqrt(n + 1.0))
     return ham
 
 
@@ -143,9 +144,16 @@ def integrate_path(rho0: np.ndarray, params: ModelParams, taus):
     is not touched, so the path is a single continuous evolution.  Until the
     first substep the symmetrized ``rho0`` itself comes back.
     """
+    return list(_iter_path(rho0, params, taus))
+
+
+def _iter_path(rho0: np.ndarray, params: ModelParams, taus):
+    """The states of ``integrate_path`` one at a time, each as the path
+    reaches it, so a caller need not hold them all; the refusals run at the
+    first ``next``, before any state."""
     times = [float(t) for t in taus]
     if not times:
-        return []
+        return
     if not all(map(math.isfinite, times)):
         raise ValueError("taus must be finite")
     if times[0] < 0 or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
@@ -176,7 +184,6 @@ def integrate_path(rho0: np.ndarray, params: ModelParams, taus):
     x = _pack(herm)
     x /= scale
     total, *terms = (np.empty_like(x) for _ in range(3))
-    out = []
     for span in spans:
         # A zero span, or a zero generator, takes no substep.
         steps = np.ceil(norm * span / _THETAS)
@@ -188,8 +195,7 @@ def integrate_path(rho0: np.ndarray, params: ModelParams, taus):
             herm = None
         # Unpacking is not bit-exact, so a state that no substep has moved
         # comes back as the symmetrized rho0 itself.
-        out.append(_unpack(x, scale) if herm is None else herm.copy())
-    return out
+        yield _unpack(x, scale) if herm is None else herm.copy()
 
 
 def _taylor(apply, x, h, degree, total, terms) -> None:
@@ -210,22 +216,22 @@ def _taylor(apply, x, h, degree, total, terms) -> None:
 
 
 def _block_entries(n_max: int):
-    """Flat indices (ground, partner) of the block structure: |n, 1> sits at
-    ground[n] = 2 n and |n, 2> one place on, and the partner of |n, 1> is
+    """Flat indices (upper, partner) of the block structure: |n, 1> sits at
+    upper[n] = 2 n and |n, 2> one place on, and the partner of |n, 1> is
     |n + 1, 2>, three places on, at partner[n] (n = 0..n_max-1)."""
-    ground = np.arange(0, space_dim(n_max), 2)
-    return ground, ground[:-1] + 3
+    upper = np.arange(0, space_dim(n_max), 2)
+    return upper, upper[:-1] + 3
 
 
 def dense_from_block(state: BlockState) -> np.ndarray:
     """Embed a block state into the dense product-basis matrix."""
     dim = space_dim(state.n_max)
     rho = np.zeros((dim, dim), dtype=complex)
-    ground, partner = _block_entries(state.n_max)
-    rho[ground, ground] = state.a
-    rho[ground + 1, ground + 1] = state.b
-    rho[ground[:-1], partner] = state.c
-    rho[partner, ground[:-1]] = np.conj(state.c)
+    upper, partner = _block_entries(state.n_max)
+    rho[upper, upper] = state.a
+    rho[upper + 1, upper + 1] = state.b
+    rho[upper[:-1], partner] = state.c
+    rho[partner, upper[:-1]] = np.conj(state.c)
     return rho
 
 
@@ -253,11 +259,11 @@ def compare_states(dense: np.ndarray, block: BlockState) -> ComparisonReport:
         raise ValueError(f"state shape {dense.shape} != ({dim}, {dim})")
     # |dense - dense_from_block(block)|, written without building the
     # second matrix: only the block entries differ from |dense|.
-    ground, partner = _block_entries(block.n_max)
-    paired = ground[:-1]
+    upper, partner = _block_entries(block.n_max)
+    paired = upper[:-1]
     classes = {
-        "a": ((ground, ground), block.a),
-        "b": ((ground + 1, ground + 1), block.b),
+        "a": ((upper, upper), block.a),
+        "b": ((upper + 1, upper + 1), block.b),
         "c": ((np.concatenate([paired, partner]),
                np.concatenate([partner, paired])),
               np.concatenate([block.c, np.conj(block.c)])),

@@ -7,8 +7,13 @@ measured in units of the inverse mode frequency, and both the coupling
 mode frequency.
 
 The interaction couples only the pairs {|n,1>, |n+1,2>} of joint
-photon-number/atom states (|1> ground, |2> excited), so a density matrix that
-starts block diagonal in those pairs stays block diagonal.  ``BlockState``
+photon-number/atom states, so a density matrix that starts block diagonal in
+those pairs stays block diagonal.  Level 1 is the upper (excited) atomic
+level and level 2 the lower (ground) one: with that reading the coupling is
+the rotating-wave Jaynes-Cummings interaction, which trades one atomic
+excitation for one photon, and |0,2> is the uncoupled ground level of atom
+and field.  The paper's text beyond its abstract is not at hand, so which
+level its p11 weights is not checked here.  ``BlockState``
 stores exactly that structure: the populations of each pair, the single
 intra-pair coherence, and the weight of the unpaired |0,2> level.  It may
 carry a leading batch axis of several such states, one per row.
@@ -65,8 +70,10 @@ class ModelParams:
     mean_photons mean N of the initial Poisson photon distribution, > 0
     lam          weight of the Bell-like piece in the initial atom-field
                  mixture, in [0, 1]
-    p11          ground-state probability of the factored atomic part
-    q11          ground-state weight inside each Bell-like state, in (0, 1)
+    p11          upper-level (level 1) probability of the factored atomic
+                 part
+    q11          upper-level (level 1) weight inside each Bell-like state,
+                 in (0, 1)
     bell_phase   relative phase phi of the Bell amplitudes, in [0, 2 pi)
     n_max        Fock truncation index; None picks default_n_max(N)
     """
@@ -198,9 +205,10 @@ def poisson_tail(mean: float, n_max: int) -> float:
 class BlockState:
     """Block-diagonal joint density matrix, or a batch of them.
 
-    a[n] = <n|rho_11|n> for n = 0..n_max      (atom ground)
-    b[n] = <n|rho_22|n> for n = 0..n_max      (atom excited; b[0] is the
-           unpaired |0,2> weight and is a constant of the motion)
+    a[n] = <n|rho_11|n> for n = 0..n_max      (atom in the upper level 1)
+    b[n] = <n|rho_22|n> for n = 0..n_max      (atom in the lower level 2;
+           b[0] is the unpaired ground weight |0,2> and is a constant of
+           the motion)
     c[n] = <n|rho_12|n+1> for n = 0..n_max-1  (intra-pair coherence)
 
     The pair {|n,1>, |n+1,2>} carries the 2x2 block
@@ -340,7 +348,7 @@ def _initial_arrays(params: ModelParams, lam: np.ndarray):
 
     a = factored * pn
     b = np.empty(a.shape)
-    # |0,2> takes only the factored excited piece; the Bell piece never
+    # |0,2> takes only the factored level-2 piece; the Bell piece never
     # populates it.
     b[..., :1] = (1.0 - lam) * params.p22 * pn[0]
     b[..., 1:] = (1.0 - lam) * params.p22 * pn[1:] + lam * q22 * pn[:-1]

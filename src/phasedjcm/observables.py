@@ -24,14 +24,18 @@ def _entropy(w: np.ndarray, terms=None) -> np.ndarray:
     """-sum w ln w of a float array along its last axis, over the entries
     above the underflow floor.  ``terms`` is an optional work array of w's
     shape."""
-    # The logarithm reads 1, so each term is 0, wherever w is not above the
-    # floor.
-    if terms is None:
-        terms = w.copy()
+    if w.size and w.min() > _ENTROPY_FLOOR:
+        # Every entry is above the floor (a nan fails the test).
+        terms = np.log(w, out=terms)
     else:
-        np.copyto(terms, w)
-    np.putmask(terms, w <= _ENTROPY_FLOOR, 1.0)
-    np.log(terms, out=terms)
+        # The logarithm reads 1, so each term is 0, wherever w is not above
+        # the floor.
+        if terms is None:
+            terms = w.copy()
+        else:
+            np.copyto(terms, w)
+        np.putmask(terms, w <= _ENTROPY_FLOOR, 1.0)
+        np.log(terms, out=terms)
     terms *= w
     return -terms.sum(axis=-1)
 
@@ -47,7 +51,8 @@ def reduced_states(state: BlockState):
     """Marginals of the joint state: (photon distribution, w1, w2).
 
     The photon marginal is p(n) = a[n] + b[n]; the atomic marginal is
-    diagonal with ground weight w1 = sum a and excited weight w2 = sum b.
+    diagonal with upper-level weight w1 = sum a and lower-level weight
+    w2 = sum b.
     """
     photon = state.a + state.b
     return (photon, _per_row(np.sum(state.a, axis=-1)),
@@ -86,27 +91,29 @@ class EntropyReport:
 def entropy_report(state: BlockState) -> EntropyReport:
     """Compute every entropy functional of one state, or of each row of a
     batched state."""
-    return _entropies(_levels(state), _abs_sq(state.c))
+    fields = _entropies(_levels(state), _abs_sq(state.c))
+    return EntropyReport(**{name: _per_row(value)
+                            for name, value in fields.items()})
 
 
-def _entropies(levels, c_sq, photon=None,
-               work=(None, None)) -> EntropyReport:
-    """The entropy report of the states whose populations a and b are the
-    two halves of ``levels`` along the last axis, with squared coherences
-    c_sq.  ``photon`` is their photon distribution a + b when known, and
-    ``work`` an optional pair of arrays of levels' shape for the spectrum
-    and the entropy terms.
+def _entropies(levels, c_sq, photon=None, work=(None, None)) -> dict:
+    """The fields of ``EntropyReport``, as arrays, of the states whose
+    populations a and b are the two halves of ``levels`` along the last
+    axis, with squared coherences c_sq.  ``photon`` is their photon
+    distribution a + b when known, and ``work`` an optional pair of arrays
+    of levels' shape for the spectrum and the entropy terms.
     """
     a, b = _split_levels(levels)
     if photon is None:
         photon = a + b
     spectrum, terms = work
-    w1, w2 = np.sum(a, axis=-1), np.sum(b, axis=-1)
-    s_atom = _entropy(np.stack([w1, w2], axis=-1))
+    # The atom's weights (w1, w2) = (sum a, sum b) along the last axis.
+    atom = levels.reshape(levels.shape[:-1] + (2, -1)).sum(axis=-1)
+    s_atom = _entropy(atom)
     s_rad = _entropy(photon)
     s_joint = _entropy(_spectrum(a, b, c_sq, out=spectrum), terms)
     s_dec = _entropy(levels, terms)
-    fields = dict(
+    return dict(
         s_atom=s_atom,
         s_rad=s_rad,
         s_joint=s_joint,
@@ -115,7 +122,5 @@ def _entropies(levels, c_sq, photon=None,
         rel_atom=s_joint - s_atom,
         rel_rad=s_joint - s_rad,
         mutual=s_atom + s_rad - s_joint,
-        inversion=w1 - w2,
+        inversion=atom[..., 0] - atom[..., 1],
     )
-    return EntropyReport(**{name: _per_row(value)
-                            for name, value in fields.items()})

@@ -123,10 +123,10 @@ def _write_columns(cols: dict, block: slice, levels, c_sq, work) -> None:
     photon, *work = ((None,) * 6 if work is None
                      else (arr[:rows] for arr in work))
     photon = np.add(*_split_levels(levels), out=photon)
-    report = _entropies(levels, c_sq, photon, work[:2])
+    fields = _entropies(levels, c_sq, photon, work[:2])
     cols["clb"][block] = _clb(levels, c_sq, photon, work[2:])
     for name in COLUMNS[1:-1]:
-        cols[name][block] = getattr(report, name)
+        cols[name][block] = fields[name]
 
 
 def _run_curve(scenario: Scenario, curve: Curve,
@@ -162,14 +162,15 @@ def _run_curve(scenario: Scenario, curve: Curve,
         elif lo == 0:
             # Only the first block is propagated from tau = 0, one phase per
             # row and pair; every later block moves the first block's rows
-            # on by one scalar time, one phase per pair, in place.  Each
+            # on by one scalar time, in place, reading one row of phases
+            # per pair from a step table over all the later times.  Each
             # sample is reached in at most two exact steps, so no error
             # accumulates along the grid.
             first = _MovedRows(propagate(initial, params, grid[block]),
-                               params)
+                               params, grid[rows::rows] - grid[0])
             levels, c_sq = first.levels, first.c_sq
         else:
-            levels, c_sq = first.move(grid[lo] - grid[0], grid[block].size)
+            levels, c_sq = first.move(lo // rows - 1, grid[block].size)
         _write_columns(cols, block, levels, c_sq, work)
     if params.gamma_bar == 0:
         cols["inversion_asym"] = poisson_sum_inversion(params, tau, lam=lam)
@@ -193,10 +194,10 @@ def emit_csv(series: TimeSeries, path) -> None:
     header = ",".join((series.axis_name,) + COLUMNS)
     table = np.column_stack([series.axis]
                             + [series.columns[name] for name in COLUMNS])
-    # "%.9g" formats a float exactly as f"{value:.9g}" does.
-    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
+    # b"%.9g" formats a float exactly as f"{value:.9g}" does, in ASCII.
+    row = b",".join([b"%.9g"] * table.shape[1]) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
         fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
@@ -226,7 +227,7 @@ def _catalog() -> dict:
             for p11 in (0.0, 0.25, 0.5, 0.75, 1.0)
         ),
         description="initial-state concurrence bound vs lambda, N=2, "
-                    "several ground-state weights p11",
+                    "several upper-level weights p11",
         shows=("clb",),
     )
     catalog["fig1b"] = Scenario(

@@ -19,6 +19,7 @@ from phasedjcm import (
     Curve,
     ModelParams,
     Scenario,
+    TimeSeries,
     emit_csv,
     run_scenario,
 )
@@ -126,6 +127,25 @@ def test_emit_csv_format(tmp_path):
             if not math.isnan(value):
                 # values are printed with 9 significant digits
                 assert field == f"{value:.9g}"
+
+
+def test_emit_csv_prints_each_cell_as_format_9g(tmp_path):
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-5,
+              9.9999999995e-5, 999999999.5, 1e16]
+    # Column k holds the values rotated by k, so every column sees each.
+    columns = {name: np.roll(values, k) for k, name in enumerate(COLUMNS)}
+    series = TimeSeries("t", "cells", "tau", np.array(values), columns)
+    path = tmp_path / "cells.csv"
+    emit_csv(series, path)
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    assert raw.count(b"\n") == 1 + len(values) and raw.endswith(b"\n")
+    lines = raw.decode("ascii").split("\n")[:-1]
+    assert lines[0] == EXPECTED_HEADER
+    table = np.column_stack([series.axis]
+                            + [columns[name] for name in COLUMNS])
+    for line, row in zip(lines[1:], table):
+        assert line.split(",") == [format(v, ".9g") for v in row]
 
 
 def test_emit_csv_is_deterministic(tmp_path):
@@ -289,6 +309,22 @@ def test_grid_too_large_exits_1_without_output(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_later_block_phase_overflow_exits_1_without_output(tmp_path,
+                                                           capsys):
+    # At n_max 7679 a block holds one row, so tau = 0 is the first block
+    # and the overflowing phase belongs to the step table of the second.
+    out = tmp_path / "out"
+    rc = main(["evolve", "--mean-photons", "2", "--n-max", "7679",
+               "--tau-max", "1.7e308", "--tau-step", "1.7e308",
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: phase E tau is not finite: tau is nan or "
+                            "too large for the pair frequencies\n")
     assert not out.exists()
 
 

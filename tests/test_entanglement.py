@@ -12,6 +12,7 @@ from phasedjcm import (
     concurrence_lower_bound,
     propagate,
 )
+from phasedjcm.entanglement import _clb
 
 
 def make_params(**overrides):
@@ -147,3 +148,66 @@ def test_clb_stays_in_unit_interval_along_evolution():
     for tau in np.arange(0.0, 15.0001, 0.5):
         clb = concurrence_lower_bound(propagate(state, params, float(tau)))
         assert 0.0 <= clb <= 1.0
+
+
+def masked_clb(levels, c_sq):
+    """_clb's general path: projections below the 1e-14 weight floor add
+    nothing, and a row of weightless projections reads 0."""
+    if levels.size and levels.min() < 0.0:
+        levels = np.maximum(levels, 0.0)
+    half = levels.shape[-1] // 2
+    a, b = levels[..., :half], levels[..., half:]
+    photon = a + b
+    t = photon[..., :-1] + photon[..., 1:]
+    weighted = np.sqrt(np.minimum(c_sq, a[..., :-1] * b[..., 1:]))
+    weighted -= np.sqrt(b[..., :-1] * a[..., 1:])
+    weighted = np.minimum(np.maximum(2.0 * weighted, 0.0), t)
+    skip = ~(t >= 1e-14)
+    t = np.where(skip, 0.0, t)
+    weighted = np.where(skip, 0.0, weighted)
+    total = t.sum(axis=-1)
+    return np.divide(weighted.sum(axis=-1), total,
+                     out=np.zeros_like(total), where=total > 0.0)
+
+
+def clb_rows(*special):
+    """Populations (a | b) and squared coherences of random 2x2 blocks
+    over n_max = 5, one row per entry of ``special``: a list of (side,
+    index, value) writes to overwrite."""
+    rng = np.random.default_rng(11)
+    levels = rng.random((len(special), 12)) * 0.1
+    c_sq = 0.8 * levels[:, :5] * levels[:, 7:]
+    for row, writes in enumerate(special):
+        for side, index, value in writes:
+            levels[row, index + (6 if side == "b" else 0)] = value
+    return levels, c_sq
+
+
+CLB_INPUTS = {
+    # Every projection carries weight, zeros and a subnormal included, and
+    # the round-off negative is clipped first.
+    "shortcut": (True, clb_rows([], [("b", 0, 0.0), ("a", 5, 5e-324)],
+                                [("b", 0, -1e-18)])),
+    "weightless_row": (False, clb_rows([], [("b", 0, 0.0)],
+                                       [(side, i, 1e-16) for side in "ab"
+                                        for i in range(6)])),
+    "one_weightless_projection": (False, clb_rows(
+        [("a", 0, 0.0), ("b", 0, -1e-18), ("b", 1, 5e-324),
+         ("a", 1, 1e-300)], [])),
+    "nan": (False, clb_rows([], [("a", 2, math.nan)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLB_INPUTS))
+def test_clb_shortcut_matches_the_masked_path(case):
+    shortcut, (levels, c_sq) = CLB_INPUTS[case]
+    photon = np.maximum(levels, 0.0)
+    photon = photon[:, :6] + photon[:, 6:]
+    assert bool((photon[:, :-1] + photon[:, 1:]).min() >= 1e-14) == shortcut
+    want = masked_clb(levels, c_sq)
+    np.testing.assert_array_equal(_clb(levels, c_sq), want)
+    work = tuple(np.empty(c_sq.shape) for _ in range(3))
+    np.testing.assert_array_equal(_clb(levels.copy(), c_sq, None, work),
+                                  want)
+    if case == "weightless_row":
+        assert want[-1] == 0.0

@@ -226,7 +226,7 @@ def test_asymptotic_state_structure():
 
 
 def test_asymptotic_state_pure_ground_example():
-    # factored pure ground atom: a[n] = p(n), so the limit splits it evenly
+    # factored atom all in level 1: a[n] = p(n), so the limit splits it evenly
     p = make_params(gamma_bar=0.05, lam=0.0, p11=1.0)
     s0 = build_initial_state(p)
     lim = asymptotic_state(s0, p)

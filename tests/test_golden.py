@@ -43,11 +43,24 @@ def reference():
         return json.load(fh)["files"]
 
 
+@pytest.fixture(scope="module")
+def catalog_runs():
+    """``run_scenario`` of a catalog scenario by name, run once for both
+    tests below."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = run_scenario(CATALOG[name])
+        return runs[name]
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
-def test_catalog_matches_reference_rows(name, reference):
+def test_catalog_matches_reference_rows(name, reference, catalog_runs):
     scenario = CATALOG[name]
     mismatches = []
-    for curve, series in zip(scenario.curves, run_scenario(scenario)):
+    for curve, series in zip(scenario.curves, catalog_runs(name)):
         entry = reference[f"{name}__{series.label}.csv"]
         assert series.axis_name == entry["axis"]
         assert series.axis.size == entry["n_rows"]
@@ -81,9 +94,10 @@ def test_digests_cover_every_catalog_curve(digests):
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
-def test_catalog_csv_bytes_match_digests(name, digests, tmp_path):
+def test_catalog_csv_bytes_match_digests(name, digests, tmp_path,
+                                         catalog_runs):
     changed = []
-    for series in run_scenario(CATALOG[name]):
+    for series in catalog_runs(name):
         path = tmp_path / f"{name}__{series.label}.csv"
         emit_csv(series, path)
         if hashlib.sha256(path.read_bytes()).hexdigest() != digests[path.name]:

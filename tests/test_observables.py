@@ -13,7 +13,7 @@ from phasedjcm import (
     poisson_pmf,
     propagate,
 )
-from phasedjcm.observables import reduced_states, shannon_entropy
+from phasedjcm.observables import _entropy, reduced_states, shannon_entropy
 
 
 def make_params(**overrides):
@@ -56,6 +56,45 @@ def test_shannon_entropy_equals_the_masked_reference_bit_for_bit():
         assert isinstance(one, float)
         assert one == value and math.copysign(1.0, one) == math.copysign(
             1.0, value)
+
+
+def masked_entropy(w):
+    """_entropy's general path: every entry at or below the 1e-300 floor
+    reads as a zero term."""
+    terms = w.copy()
+    np.putmask(terms, w <= 1e-300, 1.0)
+    np.log(terms, out=terms)
+    terms *= w
+    return -terms.sum(axis=-1)
+
+
+ENTROPY_ROWS = {
+    # Every entry above the floor: the logarithm of w itself.
+    "shortcut": (True, np.vstack([
+        np.random.default_rng(3).random((3, 5)) + 1e-3,
+        [2e-300, 1e-299, 1e-150, 0.5, 1.0],
+    ])),
+    "zero": (False, np.array([[0.5, 0.5, 0.0, 1e-3, 0.2]])),
+    "negative": (False, np.array([[0.5, -1e-18, 0.3, 1e-3, 0.2],
+                                  [0.5, 0.25, 0.3, 1e-3, 0.2]])),
+    "subnormal": (False, np.array([[5e-324, 1e-310, 0.3, 0.7, 1e-300]])),
+    "nan": (False, np.array([[0.5, math.nan, 0.3, 1e-3, 0.2],
+                             [0.5, 0.25, 0.3, 1e-3, 0.2]])),
+    "empty": (False, np.empty((3, 0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTROPY_ROWS))
+def test_entropy_shortcut_matches_the_masked_path(case):
+    shortcut, rows = ENTROPY_ROWS[case]
+    assert bool(rows.size and rows.min() > 1e-300) == shortcut
+    want = masked_entropy(rows)
+    for terms in (None, np.empty_like(rows)):
+        got = _entropy(rows, terms)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert shannon_entropy([]) == 0.0
+    assert isinstance(shannon_entropy([]), float)
 
 
 def test_reduced_states_initial_marginals():

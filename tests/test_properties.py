@@ -213,7 +213,7 @@ def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
         initial = BlockState(initial.a, np.append(-1e-18, initial.b[1:]),
                              initial.c)
     first = propagate(initial, params, np.linspace(0.0, 2.0, rows))
-    moved = _MovedRows(first, params)
+    moved = _MovedRows(first, params, [shift])
     work = _work_arrays(rows, params.n_max)
     size = rows - 1
     lam_state = build_initial_state(params, np.linspace(0.0, 1.0, rows))
@@ -228,10 +228,46 @@ def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
 
     check(first, moved.levels, moved.c_sq)
     head = BlockState(first.a[:size], first.b[:size], first.c[:size])
-    check(propagate(head, params, shift), *moved.move(shift, size))
+    check(propagate(head, params, shift), *moved.move(0, size))
     check(lam_state, _levels(lam_state), _abs_sq(lam_state.c))
     if bell:
         assert moved.levels.min() < 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(valid_params(mean_photons=st.floats(0.5, 5.0)), st.integers(1, 30),
+       st.integers(1, 4), st.lists(st.floats(0.0, 60.0), min_size=1,
+                                   max_size=9),
+       st.integers(0, 2**32 - 1))
+def test_step_table_moves_match_propagate(params, n_max, rows, shifts, seed):
+    """Every later block read from the step table, which holds the factors
+    of as many shifts as the block has rows, equals propagate of the first
+    block by its shift bit for bit, in any order of the moves and for a
+    short last block."""
+    rng = np.random.default_rng(seed)
+    first = BlockState(rng.random((rows, n_max + 1)),
+                       rng.random((rows, n_max + 1)),
+                       rng.random((rows, n_max)) - 0.5
+                       + 1j * (rng.random((rows, n_max)) - 0.5))
+    moved = _MovedRows(first, params, shifts)
+    order = rng.permutation(len(shifts))
+    for index in np.concatenate([order, order[:2]]):
+        size = rows - index % rows
+        head = BlockState(first.a[:size], first.b[:size], first.c[:size])
+        want = propagate(head, params, shifts[index])
+        levels, c_sq = moved.move(int(index), size)
+        np.testing.assert_array_equal(levels, _levels(want))
+        np.testing.assert_array_equal(c_sq, _abs_sq(want.c))
+
+
+def test_step_table_keeps_the_phase_overflow_error():
+    params = ModelParams(kappa_bar=1.0, gamma_bar=0.0, mean_photons=2.0,
+                         lam=0.5, p11=0.8, q11=0.5, bell_phase=0.0, n_max=30)
+    first = propagate(build_initial_state(params), params, [0.0, 1.0])
+    moved = _MovedRows(first, params, [1.0, 2.0, 1.7e308])
+    moved.move(0, 2)
+    with pytest.raises(ValueError, match="phase E tau is not finite"):
+        moved.move(2, 1)
 
 
 PARAM_FLAGS = ("--kappa-bar", "--gamma-bar", "--mean-photons", "--lambda",
