@@ -188,8 +188,11 @@ CLB_INPUTS = {
     # the round-off negative is clipped first.
     "shortcut": (True, clb_rows([], [("b", 0, 0.0), ("a", 5, 5e-324)],
                                 [("b", 0, -1e-18)])),
+    # The last row's projections carry 2e-16 each; unskipped, the even
+    # ones would read fully entangled.
     "weightless_row": (False, clb_rows([], [("b", 0, 0.0)],
-                                       [(side, i, 1e-16) for side in "ab"
+                                       [(side, i, 1e-16 * ((i % 2) == odd))
+                                        for side, odd in (("a", 0), ("b", 1))
                                         for i in range(6)])),
     "one_weightless_projection": (False, clb_rows(
         [("a", 0, 0.0), ("b", 0, -1e-18), ("b", 1, 5e-324),
