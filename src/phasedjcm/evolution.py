@@ -110,61 +110,51 @@ def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     return BlockState(a=a, b=b, c=c)
 
 
-class _MovedRows:
-    """The rows of one batched state, moved on together by scalar times.
+def _tau_blocks(state: BlockState, params: ModelParams, grid, rows: int):
+    """Yield (block, levels, c_sq) for every block of ``rows`` points of an
+    evenly spaced grid of times, in order: the block's slice of the grid,
+    its populations a and b side by side and its squared coherences.
 
-    The state's pair arrays are kept as contiguous copies, with a - b and
-    the drive of Im c, and every move writes into the same work arrays:
-    ``levels``, the populations a and b side by side along the last axis,
-    and ``c_sq``, the squared coherences.  They start out as the state
-    itself; the unpaired levels are constants of the motion, so no move
-    writes them.
-
-    ``shifts`` holds the times of the later moves.  Their step factors are
-    computed together, one table row per shift, in tables of as many
-    shifts as the state has rows, so a table is never larger than the
-    state itself.
+    Only the first block is propagated from ``state``.  Every later block
+    starting at grid[lo] moves the first block's rows on by the one scalar
+    time grid[lo] - grid[0] (a short last block takes the first rows),
+    writing into the arrays yielded for the first block, so each block is
+    overwritten by the next.  A block equals propagate of those rows by its
+    shift bit for bit, reached in at most two exact steps; the unpaired
+    levels are constants of the motion, so no move writes them.  The step
+    factors of as many shifts as a block has rows are computed together
+    when the walk reaches them, so a table is never larger than the block.
+    Raises ValueError when a phase E tau is not finite.
     """
-
-    def __init__(self, state: BlockState, params: ModelParams, shifts):
-        a, b, c = state.a, state.b, state.c
-        self.params = params
-        self.rates = _pair_rates(params, state.n_max)
-        self.shifts = np.asarray(shifts, dtype=float)
-        self.table = (None, None)
-        self.a0 = np.ascontiguousarray(a[:, :-1])
-        self.b0 = np.ascontiguousarray(b[:, 1:])
-        self.diff = self.a0 - self.b0
-        self.im0 = np.ascontiguousarray(c.imag)
-        self.drive = _drive(self.rates, self.im0)
-        self.re0 = np.ascontiguousarray(c.real)
-        self.levels = _levels(state)
-        self.c_sq = _abs_sq(c)
-        self.im = np.empty(c.shape)
-        self.flow = np.empty(c.shape)
-
-    def move(self, index: int, rows: int):
-        """(levels, c_sq) of the first ``rows`` rows moved on by
-        ``shifts[index]``, each propagated exactly as ``propagate`` does.
-        They are views of the work arrays, overwritten by the next move."""
-        span = self.a0.shape[0]
-        lo = index - index % span
-        if self.table[0] != lo:
-            self.table = lo, _step_factors(self.params, self.rates,
-                                           self.shifts[lo:lo + span])
-        factors = [f[index - lo] for f in self.table[1]]
-        levels, c_sq, im, flow = (arr[:rows] for arr in (
-            self.levels, self.c_sq, self.im, self.flow))
-        a, b = _split_levels(levels)
-        _move_pairs(factors, self.a0[:rows], self.b0[:rows],
-                    self.diff[:rows], self.im0[:rows], self.drive[:rows],
-                    a[:, :-1], b[:, 1:], im, flow)
-        # |c|^2 = (decay Re c0)^2 + (Im c)^2, the products _abs_sq takes of
-        # propagate's output, so the block matches it bit for bit.
-        np.multiply(self.re0[:rows], factors[-1], out=c_sq)
-        c_sq *= c_sq
-        c_sq += np.multiply(im, im, out=flow)
-        return levels, c_sq
+    first = propagate(state, params, grid[:rows])
+    rows = min(rows, grid.size)
+    rates = _pair_rates(params, state.n_max)
+    a0 = np.ascontiguousarray(first.a[:, :-1])
+    b0 = np.ascontiguousarray(first.b[:, 1:])
+    diff = a0 - b0
+    im0 = np.ascontiguousarray(first.c.imag)
+    drive = _drive(rates, im0)
+    re0 = np.ascontiguousarray(first.c.real)
+    work = (_levels(first), _abs_sq(first.c), np.empty(im0.shape),
+            np.empty(im0.shape))
+    del first
+    yield slice(0, rows), *work[:2]
+    for start in range(rows, grid.size, rows * rows):
+        table = _step_factors(params, rates,
+                              grid[start:start + rows * rows:rows] - grid[0])
+        for lo, *factors in zip(range(start, grid.size, rows), *table):
+            size = min(rows, grid.size - lo)
+            levels, c_sq, im, flow = (arr[:size] for arr in work)
+            a, b = _split_levels(levels)
+            _move_pairs(factors, a0[:size], b0[:size], diff[:size],
+                        im0[:size], drive[:size], a[:, :-1], b[:, 1:], im,
+                        flow)
+            # |c|^2 = (decay Re c0)^2 + (Im c)^2, the products _abs_sq takes
+            # of propagate's output, so the block matches it bit for bit.
+            np.multiply(re0[:size], factors[-1], out=c_sq)
+            c_sq *= c_sq
+            c_sq += np.multiply(im, im, out=flow)
+            yield slice(lo, lo + size), levels, c_sq
 
 
 def asymptotic_state(state: BlockState, params: ModelParams) -> BlockState:

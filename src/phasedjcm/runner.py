@@ -4,10 +4,11 @@ Each catalog scenario bundles one figure's worth of curves; a curve is one
 parameter set swept over tau (or, for the initial state scans, over the
 mixture weight lambda).  A curve is evaluated in blocks of grid rows, each
 block one batched state, so every layer sees whole rows at once: a tau
-curve propagates its first block from tau = 0 and moves that block's rows
-on in place, by one scalar time, for every later block, while a lambda scan
-builds each block's initial states.  One column kernel, ``_write_columns``,
-turns every block into the computed columns.  Output is
+curve's blocks come from ``evolution._tau_blocks``, which propagates the
+first block from tau = 0 and moves that block's rows on in place, by one
+scalar time, for every later block, while a lambda scan builds each
+block's initial states (``_lambda_blocks``).  One column kernel,
+``_write_columns``, turns every block into the computed columns.  Output is
 one CSV per curve with a fixed column set, printed with 9 significant
 digits and line-feed endings so repeated runs are byte-identical.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import _clb
-from .evolution import _MovedRows, propagate
+from .evolution import _tau_blocks
 from .model import (ModelParams, _abs_sq, _levels, _split_levels,
                     build_initial_state)
 from .observables import _entropies
@@ -129,48 +130,49 @@ def _write_columns(cols: dict, block: slice, levels, c_sq, work) -> None:
         cols[name][block] = fields[name]
 
 
+def _lambda_blocks(params: ModelParams, grid: np.ndarray, rows: int):
+    """Yield (block, levels, c_sq) of the validated initial states at every
+    block of ``rows`` lambdas, in order."""
+    for lo in range(0, grid.size, rows):
+        block = slice(lo, lo + rows)
+        state = build_initial_state(params, grid[block])
+        yield block, _levels(state), _abs_sq(state.c)
+
+
 def _run_curve(scenario: Scenario, curve: Curve,
                grid: np.ndarray) -> TimeSeries:
     """Every column along ``grid``, evaluated one block of rows at a time.
 
     The sweeps differ only in the batched state at a block of grid points:
-    the initial state propagated to each tau, or the validated initial state
-    at each lambda (where tau = 0).  Every block's columns come from
-    ``_write_columns``.
+    the initial state propagated to each tau (``_tau_blocks``), or the
+    validated initial state at each lambda (where tau = 0).  Every block's
+    columns come from ``_write_columns``.
     """
     params = curve.params
-    if scenario.sweep == "tau":
-        initial = build_initial_state(params)
-        tau, lam = grid, None
-    else:
-        # Every block validates its weights; the ends of the grid go first,
-        # so a grid that leaves [0, 1] fails before any column exists.
-        build_initial_state(params, grid[[0, -1]])
-        tau, lam = 0.0, grid
-    cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}
+    lam = None if scenario.sweep == "tau" else grid
+    # Every lambda block validates its weights; the ends of the grid go
+    # first, so a grid that leaves [0, 1] fails before any column exists.
+    initial = build_initial_state(params,
+                                  None if lam is None else grid[[0, -1]])
     rows = min(grid.size, max(1, _BLOCK_ENTRIES // (params.n_max + 1)))
-    # A later tau block makes no other large temporary, so work arrays held
-    # for the curve spare it the page faults of a heap that glibc trims
-    # after every block; a lambda block builds its state afresh, and held
-    # arrays would only raise its peak.
-    work = _work_arrays(rows, params.n_max) if lam is None else None
-    for lo in range(0, grid.size, rows):
-        block = slice(lo, lo + rows)
-        if lam is not None:
-            state = build_initial_state(params, grid[block])
-            levels, c_sq = _levels(state), _abs_sq(state.c)
-        elif lo == 0:
-            # Only the first block is propagated from tau = 0, one phase per
-            # row and pair; every later block moves the first block's rows
-            # on by one scalar time, in place, reading one row of phases
-            # per pair from a step table over all the later times.  Each
-            # sample is reached in at most two exact steps, so no error
-            # accumulates along the grid.
-            first = _MovedRows(propagate(initial, params, grid[block]),
-                               params, grid[rows::rows] - grid[0])
-            levels, c_sq = first.levels, first.c_sq
-        else:
-            levels, c_sq = first.move(lo // rows - 1, grid[block].size)
+    if lam is None:
+        tau = grid
+        blocks = _tau_blocks(initial, params, grid, rows)
+        # A tau block makes no other large temporary, so work arrays held
+        # for the curve spare it the page faults of a heap that glibc trims
+        # after every block.
+        work = _work_arrays(rows, params.n_max)
+    else:
+        tau = 0.0
+        blocks = _lambda_blocks(params, grid, rows)
+        # A lambda block builds its state afresh, and held work arrays made
+        # lambda sweeps slower: over six alternating processes on a 2-vCPU
+        # host, fig1a took 4.6-4.7 ms without them and 5.4-8.3 ms with
+        # them, and a 401-row, six-curve sweep-clb set (N 2, 20 and 100)
+        # 37.1-38.8 ms against 40.1-64.0 ms.
+        work = None
+    cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}
+    for block, levels, c_sq in blocks:
         _write_columns(cols, block, levels, c_sq, work)
     if params.gamma_bar == 0:
         cols["inversion_asym"] = poisson_sum_inversion(params, tau, lam=lam)

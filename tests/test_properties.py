@@ -11,6 +11,8 @@ the whole float line, nan and +-inf included.
 import contextlib
 import io
 import math
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -37,7 +39,7 @@ from phasedjcm import (
     run_scenario,
 )
 from phasedjcm.cli import main
-from phasedjcm.evolution import _MovedRows
+from phasedjcm.evolution import _tau_blocks
 from phasedjcm.model import _abs_sq, _levels
 from phasedjcm.runner import _BLOCK_ENTRIES, _work_arrays, _write_columns
 
@@ -199,8 +201,9 @@ def test_runner_blocks_match_one_direct_step_per_row(mean_photons, gamma_bar):
 @given(valid_params(mean_photons=st.floats(0.5, 20.0)), st.integers(2, 9),
        st.floats(0.0, 60.0), st.booleans())
 def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
-    """The runner's column kernel on a first block, a short later block
-    moved on in place and a lambda-sweep block, against entropy_report and
+    """The runner's column kernel on the first two blocks of a tau curve (a
+    first block and a short later block moved on in place by a shift up to
+    60) and on a lambda-sweep block, against entropy_report and
     concurrence_lower_bound of the same states.  Both compute through the
     same helpers, so they agree bit for bit, well inside 1e-13.  A Bell
     start gets b[0] = -1e-18, a population left negative by round-off (b[0]
@@ -212,10 +215,12 @@ def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
     if bell:
         initial = BlockState(initial.a, np.append(-1e-18, initial.b[1:]),
                              initial.c)
-    first = propagate(initial, params, np.linspace(0.0, 2.0, rows))
-    moved = _MovedRows(first, params, [shift])
-    work = _work_arrays(rows, params.n_max)
+    grid = np.arange(2 * rows - 1) * (shift / rows)
+    first = propagate(initial, params, grid[:rows])
     size = rows - 1
+    head = BlockState(first.a[:size], first.b[:size], first.c[:size])
+    states = (first, propagate(head, params, grid[rows] - grid[0]))
+    work = _work_arrays(rows, params.n_max)
     lam_state = build_initial_state(params, np.linspace(0.0, 1.0, rows))
 
     def check(state, levels, c_sq):
@@ -226,48 +231,82 @@ def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
         for name in COLUMNS[:-1]:
             np.testing.assert_array_equal(cols[name], want[name], name)
 
-    check(first, moved.levels, moved.c_sq)
-    head = BlockState(first.a[:size], first.b[:size], first.c[:size])
-    check(propagate(head, params, shift), *moved.move(0, size))
+    # Each block is checked as it is yielded: the next one overwrites it.
+    for state, (_, levels, c_sq) in zip(
+            states, _tau_blocks(initial, params, grid, rows), strict=True):
+        check(state, levels, c_sq)
+        if bell:
+            assert levels.min() < 0.0
     check(lam_state, _levels(lam_state), _abs_sq(lam_state.c))
-    if bell:
-        assert moved.levels.min() < 0.0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(valid_params(mean_photons=st.floats(0.5, 5.0)), st.integers(1, 30),
-       st.integers(1, 4), st.lists(st.floats(0.0, 60.0), min_size=1,
-                                   max_size=9),
-       st.integers(0, 2**32 - 1))
-def test_step_table_moves_match_propagate(params, n_max, rows, shifts, seed):
-    """Every later block read from the step table, which holds the factors
-    of as many shifts as the block has rows, equals propagate of the first
-    block by its shift bit for bit, in any order of the moves and for a
-    short last block."""
+       st.integers(1, 4), st.integers(1, 40), st.floats(0.0, 10.0),
+       st.floats(0.0, 1.5), st.integers(0, 2**32 - 1))
+def test_tau_blocks_match_propagate(params, n_max, rows, size, start, step,
+                                    seed):
+    """Every block of a grid, the first propagated and the later ones moved
+    on from it through step tables of as many shifts as a block has rows,
+    has the right slice and equals propagate of the first block's head by
+    its shift bit for bit, the short last block included."""
     rng = np.random.default_rng(seed)
-    first = BlockState(rng.random((rows, n_max + 1)),
-                       rng.random((rows, n_max + 1)),
-                       rng.random((rows, n_max)) - 0.5
-                       + 1j * (rng.random((rows, n_max)) - 0.5))
-    moved = _MovedRows(first, params, shifts)
-    order = rng.permutation(len(shifts))
-    for index in np.concatenate([order, order[:2]]):
-        size = rows - index % rows
-        head = BlockState(first.a[:size], first.b[:size], first.c[:size])
-        want = propagate(head, params, shifts[index])
-        levels, c_sq = moved.move(int(index), size)
+    state = BlockState(rng.random(n_max + 1), rng.random(n_max + 1),
+                       rng.random(n_max) - 0.5
+                       + 1j * (rng.random(n_max) - 0.5))
+    grid = start + step * np.arange(size)
+    first = propagate(state, params, grid[:rows])
+    count = 0
+    # Each block is compared as it is yielded: the next one overwrites it.
+    for count, (block, levels, c_sq) in enumerate(
+            _tau_blocks(state, params, grid, rows), 1):
+        lo = (count - 1) * rows
+        assert block == slice(lo, min(lo + rows, size))
+        head = BlockState(*(arr[:block.stop - lo]
+                            for arr in (first.a, first.b, first.c)))
+        want = first if lo == 0 else propagate(head, params,
+                                               grid[lo] - grid[0])
         np.testing.assert_array_equal(levels, _levels(want))
         np.testing.assert_array_equal(c_sq, _abs_sq(want.c))
+    assert count == math.ceil(size / rows)
 
 
-def test_step_table_keeps_the_phase_overflow_error():
+def test_tau_blocks_keep_the_phase_overflow_error():
     params = ModelParams(kappa_bar=1.0, gamma_bar=0.0, mean_photons=2.0,
                          lam=0.5, p11=0.8, q11=0.5, bell_phase=0.0, n_max=30)
-    first = propagate(build_initial_state(params), params, [0.0, 1.0])
-    moved = _MovedRows(first, params, [1.0, 2.0, 1.7e308])
-    moved.move(0, 2)
+    blocks = _tau_blocks(build_initial_state(params), params,
+                         np.array([0.0, 1.0, 2.0, 1.7e308]), 1)
+    for _ in range(3):
+        next(blocks)
     with pytest.raises(ValueError, match="phase E tau is not finite"):
-        moved.move(2, 1)
+        next(blocks)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_property_shows_its_falsifying_example(tmp_path):
+    """A failing @given test, run under the project's pytest settings,
+    reports its falsifying example rather than an INTERNALERROR from a
+    warning turned into an error."""
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c",
+         str(config), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "Falsifying example" in output, output
+    assert "INTERNALERROR" not in output, output
 
 
 PARAM_FLAGS = ("--kappa-bar", "--gamma-bar", "--mean-photons", "--lambda",
