@@ -6,7 +6,6 @@ independent exact master-equation oracle, plus a CSV-emitting
 scenario runner.
 """
 
-from .entanglement import concurrence_lower_bound
 from .evolution import (
     asymptotic_state,
     propagate,
@@ -30,6 +29,7 @@ from .model import (
 )
 from .observables import (
     EntropyReport,
+    concurrence_lower_bound,
     entropy_report,
 )
 from .revival import poisson_sum_inversion

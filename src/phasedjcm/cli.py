@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,21 +72,28 @@ def _cmd_scenario(args) -> int:
     return _run_and_write(scenario, args)
 
 
+def _custom_curve(args) -> Curve:
+    """The one curve of an evolve or sweep-clb run.  Its label names a file
+    inside --out, so it may hold no path separator."""
+    if any(sep and sep in args.label for sep in (os.sep, os.altsep)):
+        raise ValueError(f"--label {args.label!r} must not contain a path "
+                         "separator")
+    return Curve(args.label, _params_from_args(args))
+
+
 def _cmd_evolve(args) -> int:
-    params = _params_from_args(args)
     scenario = Scenario(
         name="evolve", sweep="tau", start=0.0, stop=args.tau_max,
-        step=args.tau_step, curves=(Curve(args.label, params),),
+        step=args.tau_step, curves=(_custom_curve(args),),
     )
     return _run_and_write(scenario, args)
 
 
 def _cmd_sweep_clb(args) -> int:
-    params = _params_from_args(args)
     scenario = Scenario(
         name="sweep-clb", sweep="lambda", start=args.lambda_start,
         stop=args.lambda_stop, step=args.lambda_step,
-        curves=(Curve(args.label, params),),
+        curves=(_custom_curve(args),),
     )
     return _run_and_write(scenario, args)
 

@@ -1,9 +1,20 @@
-"""Reduced states, entropies, and the atomic inversion.
+"""Block functionals: entropies, the atomic inversion and the concurrence
+lower bound.
 
 All entropies are Shannon/von Neumann in nats.  Because the joint state is
 block diagonal and both marginals are diagonal in their natural bases, every
 entropy reduces to a Shannon sum over known weights; nothing here
 diagonalizes more than the 2x2 blocks.
+
+Projecting the field onto span{|n>, |n+1>} leaves an effective two-qubit
+state whose concurrence is computable in closed form because the projected
+matrix has the X shape (diagonal plus one antidiagonal coherence).  Averaging
+the per-projection concurrences with their trace weights gives a lower bound
+on the atom-field entanglement of the full state.
+
+One column kernel, ``_columns``, computes every functional of a block of
+states from one photon distribution.  The public functions call its helpers
+``_entropies`` and ``_clb`` directly, so each computes only its own.
 """
 
 from __future__ import annotations
@@ -18,6 +29,10 @@ from .model import (BlockState, _abs_sq, _levels, _per_row, _spectrum,
 # Weights below this are dropped from entropy sums (0 ln 0 := 0, and the
 # logarithm would otherwise overflow for denormals).
 _ENTROPY_FLOOR = 1e-300
+
+# Projections carrying less weight than this are skipped: their normalized
+# concurrence is numerically meaningless and their weight cannot matter.
+_WEIGHT_FLOOR = 1e-14
 
 
 def _entropy(w: np.ndarray, terms=None) -> np.ndarray:
@@ -45,18 +60,6 @@ def shannon_entropy(weights):
     floor (a nan weight gives nan); a float for 1-D weights, one value per
     row otherwise."""
     return _per_row(_entropy(np.asarray(weights, dtype=float)))
-
-
-def reduced_states(state: BlockState):
-    """Marginals of the joint state: (photon distribution, w1, w2).
-
-    The photon marginal is p(n) = a[n] + b[n]; the atomic marginal is
-    diagonal with upper-level weight w1 = sum a and lower-level weight
-    w2 = sum b.
-    """
-    photon = state.a + state.b
-    return (photon, _per_row(np.sum(state.a, axis=-1)),
-            _per_row(np.sum(state.b, axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -124,3 +127,82 @@ def _entropies(levels, c_sq, photon=None, work=(None, None)) -> dict:
         mutual=s_atom + s_rad - s_joint,
         inversion=atom[..., 0] - atom[..., 1],
     )
+
+
+def concurrence_lower_bound(state: BlockState):
+    """Trace-weighted average concurrence over all photon-pair projections.
+
+    The projection onto photons {n, n+1} has populations v = b[n],
+    w = b[n+1], x = a[n], y = a[n+1], the coherence z = c[n] and the trace
+    t = v + w + x + y; its concurrence is
+    (2 / t) (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to [0, 1].  The min is
+    a no-op on every positive semidefinite block, where |z| <= sqrt(w x).
+
+    Runs over n = 0..n_max-1; projections below the weight floor are
+    skipped.  Returns a float, or one value per row of a batched state.
+    """
+    return _per_row(_clb(_levels(state), _abs_sq(state.c)))
+
+
+def _clb(levels, c_sq, photon=None, work=(None, None, None)) -> np.ndarray:
+    """The concurrence lower bound of the states whose populations a and b
+    are the two halves of ``levels`` along the last axis, with squared
+    coherences c_sq, as an array.  ``photon`` is their photon distribution
+    a + b when known, and ``work`` an optional triple of arrays of c_sq's
+    shape."""
+    if levels.size and levels.min() < 0.0:
+        # Clip tiny negative populations left by round-off before the
+        # square roots.
+        levels, photon = np.maximum(levels, 0.0), None
+    a, b = _split_levels(levels)
+    if photon is None:
+        photon = a + b
+    # t = p(n) + p(n+1).  A kept projection adds t times its concurrence,
+    # 2 (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to [0, t]; a skipped one
+    # adds 0 to both sums.  The square root is monotone, so
+    # min(|z|, sqrt(w x)) = sqrt(min(|z|^2, w x)).
+    t = np.add(photon[..., :-1], photon[..., 1:], out=work[0])
+    weighted = np.multiply(a[..., :-1], b[..., 1:], out=work[1])
+    np.minimum(c_sq, weighted, out=weighted)
+    np.sqrt(weighted, out=weighted)
+    root = np.multiply(b[..., :-1], a[..., 1:], out=work[2])
+    weighted -= np.sqrt(root, out=root)
+    weighted *= 2.0
+    np.maximum(weighted, 0.0, out=weighted)
+    np.minimum(weighted, t, out=weighted)
+    if t.size and t.min() >= _WEIGHT_FLOOR:
+        # No projection is skipped (a nan fails the test), and every total
+        # is positive.
+        return weighted.sum(axis=-1) / t.sum(axis=-1)
+    skip = ~(t >= _WEIGHT_FLOOR)
+    np.copyto(t, 0.0, where=skip)
+    np.copyto(weighted, 0.0, where=skip)
+    total = t.sum(axis=-1)
+    return np.divide(weighted.sum(axis=-1), total,
+                     out=np.zeros_like(total), where=total > 0.0)
+
+
+def _work_arrays(rows: int, n_max: int) -> tuple:
+    """Work arrays for ``_columns`` on blocks of up to ``rows`` states: the
+    photon distribution, the spectrum and the entropy terms, and three for
+    the concurrence bound."""
+    return (np.empty((rows, n_max + 1)),
+            *(np.empty((rows, 2 * n_max + 2)) for _ in range(2)),
+            *(np.empty((rows, n_max)) for _ in range(3)))
+
+
+def _columns(levels, c_sq, work=None) -> dict:
+    """The fields of ``EntropyReport`` and the concurrence bound ``"clb"``,
+    as arrays, of a block of states whose populations a and b are the two
+    halves of ``levels`` along the last axis, with squared coherences c_sq.
+
+    The entropies and the bound share the photon distribution, computed
+    once.  The large temporaries live in ``work`` (from ``_work_arrays``),
+    reused block after block, or are allocated when it is None."""
+    rows = levels.shape[0]
+    photon, *work = ((None,) * 6 if work is None
+                     else (arr[:rows] for arr in work))
+    photon = np.add(*_split_levels(levels), out=photon)
+    fields = _entropies(levels, c_sq, photon, work[:2])
+    fields["clb"] = _clb(levels, c_sq, photon, work[2:])
+    return fields

@@ -8,9 +8,10 @@ curve's blocks come from ``evolution._tau_blocks``, which propagates the
 first block from tau = 0 and moves that block's rows on in place, by one
 scalar time, for every later block, while a lambda scan builds each
 block's initial states (``_lambda_blocks``).  One column kernel,
-``_write_columns``, turns every block into the computed columns.  Output is
-one CSV per curve with a fixed column set, printed with 9 significant
-digits and line-feed endings so repeated runs are byte-identical.
+``observables._columns``, turns every block into the computed columns.
+Output is one CSV per curve with a fixed column set, printed with 9
+significant digits and line-feed endings so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import _clb
 from .evolution import _tau_blocks
-from .model import (ModelParams, _abs_sq, _levels, _split_levels,
-                    build_initial_state)
-from .observables import _entropies
+from .model import ModelParams, _abs_sq, _levels, build_initial_state
+from .observables import _columns, _work_arrays
 from .revival import poisson_sum_inversion
 
 COLUMNS = (
@@ -88,7 +87,10 @@ class Scenario:
         if not math.isfinite(ratio):
             raise ValueError(f"{self.name}: grid has too many points")
         count = math.floor(ratio * (1.0 + _GRID_SLACK)) + 1
-        return self.start + self.step * np.arange(count)
+        # The slack and the round-off of the product can put the last point
+        # a few ulps past stop.
+        return np.minimum(self.start + self.step * np.arange(count),
+                          self.stop)
 
 
 @dataclass
@@ -100,34 +102,6 @@ class TimeSeries:
     axis_name: str
     axis: np.ndarray
     columns: dict
-
-
-def _work_arrays(rows: int, n_max: int) -> tuple:
-    """Work arrays for blocks of up to ``rows`` states: the photon
-    distribution, the spectrum and the entropy terms, and three for the
-    concurrence bound."""
-    return (np.empty((rows, n_max + 1)),
-            *(np.empty((rows, 2 * n_max + 2)) for _ in range(2)),
-            *(np.empty((rows, n_max)) for _ in range(3)))
-
-
-def _write_columns(cols: dict, block: slice, levels, c_sq, work) -> None:
-    """Write the nine computed columns of a block of states into
-    ``cols[name][block]``.
-
-    The states' populations a and b are the two halves of ``levels`` and
-    c_sq their squared coherences.  The entropies and the concurrence bound
-    share the photon distribution and c_sq.  The large temporaries of a
-    block live in ``work`` (from ``_work_arrays``), reused block after
-    block, or are allocated when it is None."""
-    rows = levels.shape[0]
-    photon, *work = ((None,) * 6 if work is None
-                     else (arr[:rows] for arr in work))
-    photon = np.add(*_split_levels(levels), out=photon)
-    fields = _entropies(levels, c_sq, photon, work[:2])
-    cols["clb"][block] = _clb(levels, c_sq, photon, work[2:])
-    for name in COLUMNS[1:-1]:
-        cols[name][block] = fields[name]
 
 
 def _lambda_blocks(params: ModelParams, grid: np.ndarray, rows: int):
@@ -146,7 +120,7 @@ def _run_curve(scenario: Scenario, curve: Curve,
     The sweeps differ only in the batched state at a block of grid points:
     the initial state propagated to each tau (``_tau_blocks``), or the
     validated initial state at each lambda (where tau = 0).  Every block's
-    columns come from ``_write_columns``.
+    columns come from ``observables._columns``.
     """
     params = curve.params
     lam = None if scenario.sweep == "tau" else grid
@@ -173,7 +147,9 @@ def _run_curve(scenario: Scenario, curve: Curve,
         work = None
     cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}
     for block, levels, c_sq in blocks:
-        _write_columns(cols, block, levels, c_sq, work)
+        fields = _columns(levels, c_sq, work)
+        for name in COLUMNS[:-1]:
+            cols[name][block] = fields[name]
     if params.gamma_bar == 0:
         cols["inversion_asym"] = poisson_sum_inversion(params, tau, lam=lam)
     else:

@@ -392,6 +392,33 @@ def test_lambda_sweep_outside_unit_interval_fails_before_any_work(
     assert not out.exists()
 
 
+def test_lambda_sweep_ends_at_its_stop_when_round_off_overshoots(tmp_path):
+    # 0.09 + 0.07 * 13 is 1.0000000000000002 in floating point.
+    out = tmp_path / "out"
+    rc = main(["sweep-clb", "--lambda-start", "0.09", "--lambda-step",
+               "0.07", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "sweep-clb__custom.csv").read_text().splitlines()
+    assert len(lines) == 15 and lines[-1].startswith("1,")
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--tau-max", "0.1"],
+    ["sweep-clb", "--lambda-step", "0.5"],
+])
+def test_label_with_a_path_separator_exits_1_without_output(tmp_path, capsys,
+                                                            command):
+    out = tmp_path / "out"
+    (out / f"{command[0]}__x").mkdir(parents=True)
+    rc = main([*command, "--out", str(out), "--label", "x/../../escaped"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "path separator" in err
+    left = sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("*"))
+    assert left == ["out", f"out/{command[0]}__x"]
+
+
 def test_sweep_clb_takes_no_fixed_lambda(tmp_path, capsys):
     # The swept grid replaces the mixture weight, so the flag does not exist.
     with pytest.raises(SystemExit) as err:

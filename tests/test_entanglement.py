@@ -12,7 +12,7 @@ from phasedjcm import (
     concurrence_lower_bound,
     propagate,
 )
-from phasedjcm.entanglement import _clb
+from phasedjcm.observables import _clb
 
 
 def make_params(**overrides):

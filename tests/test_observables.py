@@ -13,7 +13,7 @@ from phasedjcm import (
     poisson_pmf,
     propagate,
 )
-from phasedjcm.observables import _entropy, reduced_states, shannon_entropy
+from phasedjcm.observables import _entropy, shannon_entropy
 
 
 def make_params(**overrides):
@@ -98,9 +98,13 @@ def test_entropy_shortcut_matches_the_masked_path(case):
 
 
 def test_reduced_states_initial_marginals():
+    """The photon marginal a + b and the atomic weights w1 = sum a and
+    w2 = sum b of a Bell-mixture start, and the inversion w1 - w2."""
     lam, p11, q11 = 0.4, 0.7, 0.3
     params = make_params(lam=lam, p11=p11, q11=q11)
-    photon, w1, w2 = reduced_states(build_initial_state(params))
+    state = build_initial_state(params)
+    photon, w1, w2 = state.a + state.b, state.a.sum(), state.b.sum()
+    assert entropy_report(state).inversion == w1 - w2
     assert w1 == pytest.approx((1 - lam) * p11 + lam * q11, abs=1e-14)
     assert w1 + w2 == pytest.approx(1.0, abs=1e-12)
     pn = poisson_pmf(5.0, np.arange(params.n_max + 1))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasedjcm import (
@@ -41,7 +41,8 @@ from phasedjcm import (
 from phasedjcm.cli import main
 from phasedjcm.evolution import _tau_blocks
 from phasedjcm.model import _abs_sq, _levels
-from phasedjcm.runner import _BLOCK_ENTRIES, _work_arrays, _write_columns
+from phasedjcm.observables import _columns, _work_arrays
+from phasedjcm.runner import _BLOCK_ENTRIES
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
                              derandomize=True)
@@ -197,11 +198,30 @@ def test_runner_blocks_match_one_direct_step_per_row(mean_photons, gamma_bar):
                 name, tau)
 
 
+@PROPERTY_SETTINGS
+@example(0.09, 0.07, 13, 0.0, 0)
+@given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e3), st.integers(0, 2000),
+       st.floats(0.0, 1.0), st.integers(0, 4))
+def test_grid_never_passes_its_stop(start, step, whole, frac, ulps):
+    """Grids whose stop lies a few ulps below a whole number of steps, or
+    anywhere between two points: the last point is at most stop, and every
+    other point is start + step * k."""
+    stop = start + step * (whole + frac)
+    for _ in range(ulps):
+        stop = math.nextafter(stop, -math.inf)
+    stop = max(stop, start)
+    grid = Scenario(name="g", sweep="tau", start=start, stop=stop,
+                    step=step, curves=()).grid()
+    assert grid[-1] <= stop
+    np.testing.assert_array_equal(grid[:-1],
+                                  start + step * np.arange(grid.size - 1))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(valid_params(mean_photons=st.floats(0.5, 20.0)), st.integers(2, 9),
        st.floats(0.0, 60.0), st.booleans())
 def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
-    """The runner's column kernel on the first two blocks of a tau curve (a
+    """The column kernel on the first two blocks of a tau curve (a
     first block and a short later block moved on in place by a shift up to
     60) and on a lambda-sweep block, against entropy_report and
     concurrence_lower_bound of the same states.  Both compute through the
@@ -224,8 +244,7 @@ def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
     lam_state = build_initial_state(params, np.linspace(0.0, 1.0, rows))
 
     def check(state, levels, c_sq):
-        cols = {name: np.empty(levels.shape[0]) for name in COLUMNS[:-1]}
-        _write_columns(cols, slice(None), levels, c_sq, work)
+        cols = _columns(levels, c_sq, work)
         want = vars(entropy_report(state))
         want["clb"] = concurrence_lower_bound(state)
         for name in COLUMNS[:-1]:
