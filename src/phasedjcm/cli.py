@@ -72,29 +72,15 @@ def _cmd_scenario(args) -> int:
     return _run_and_write(scenario, args)
 
 
-def _custom_curve(args) -> Curve:
-    """The one curve of an evolve or sweep-clb run.  Its label names a file
-    inside --out, so it may hold no path separator."""
+def _cmd_curve(args) -> int:
+    """Run the one curve of an evolve or sweep-clb run.  Its label names a
+    file inside --out, so it may hold no path separator."""
     if any(sep and sep in args.label for sep in (os.sep, os.altsep)):
         raise ValueError(f"--label {args.label!r} must not contain a path "
                          "separator")
-    return Curve(args.label, _params_from_args(args))
-
-
-def _cmd_evolve(args) -> int:
-    scenario = Scenario(
-        name="evolve", sweep="tau", start=0.0, stop=args.tau_max,
-        step=args.tau_step, curves=(_custom_curve(args),),
-    )
-    return _run_and_write(scenario, args)
-
-
-def _cmd_sweep_clb(args) -> int:
-    scenario = Scenario(
-        name="sweep-clb", sweep="lambda", start=args.lambda_start,
-        stop=args.lambda_stop, step=args.lambda_step,
-        curves=(_custom_curve(args),),
-    )
+    scenario = Scenario(name=args.command, sweep=args.sweep, start=args.start,
+                        stop=args.stop, step=args.step,
+                        curves=(Curve(args.label, _params_from_args(args)),))
     return _run_and_write(scenario, args)
 
 
@@ -167,20 +153,25 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evolve", help="run one custom curve over tau")
     _add_param_flags(ev)
     ev.add_argument("--out", default="out", help="output directory")
-    ev.add_argument("--tau-max", type=float, default=30.0)
-    ev.add_argument("--tau-step", type=float, default=0.05)
+    ev.add_argument("--tau-max", type=float, default=30.0, dest="stop",
+                    metavar="TAU_MAX")
+    ev.add_argument("--tau-step", type=float, default=0.05, dest="step",
+                    metavar="TAU_STEP")
     ev.add_argument("--label", default="custom")
-    ev.set_defaults(func=_cmd_evolve)
+    ev.set_defaults(func=_cmd_curve, sweep="tau", start=0.0)
 
     sw = sub.add_parser("sweep-clb",
                         help="scan the initial state over lambda")
     _add_param_flags(sw, lam=False)
     sw.add_argument("--out", default="out", help="output directory")
-    sw.add_argument("--lambda-start", type=float, default=0.0)
-    sw.add_argument("--lambda-stop", type=float, default=1.0)
-    sw.add_argument("--lambda-step", type=float, default=0.01)
+    sw.add_argument("--lambda-start", type=float, default=0.0,
+                    dest="start", metavar="LAMBDA_START")
+    sw.add_argument("--lambda-stop", type=float, default=1.0, dest="stop",
+                    metavar="LAMBDA_STOP")
+    sw.add_argument("--lambda-step", type=float, default=0.01, dest="step",
+                    metavar="LAMBDA_STEP")
     sw.add_argument("--label", default="custom")
-    sw.set_defaults(func=_cmd_sweep_clb)
+    sw.set_defaults(func=_cmd_curve, sweep="lambda")
 
     va = sub.add_parser("validate",
                         help="evolve the master equation directly and "

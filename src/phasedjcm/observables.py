@@ -170,10 +170,6 @@ def _clb(levels, c_sq, photon=None, work=(None, None, None)) -> np.ndarray:
     weighted *= 2.0
     np.maximum(weighted, 0.0, out=weighted)
     np.minimum(weighted, t, out=weighted)
-    if t.size and t.min() >= _WEIGHT_FLOOR:
-        # No projection is skipped (a nan fails the test), and every total
-        # is positive.
-        return weighted.sum(axis=-1) / t.sum(axis=-1)
     skip = ~(t >= _WEIGHT_FLOOR)
     np.copyto(t, 0.0, where=skip)
     np.copyto(weighted, 0.0, where=skip)

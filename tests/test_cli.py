@@ -238,6 +238,22 @@ def test_parameter_commands_take_no_config_file(tmp_path, monkeypatch,
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("command, shown", [
+    ("evolve", ["--tau-max TAU_MAX", "--tau-step TAU_STEP"]),
+    ("sweep-clb", ["--lambda-start LAMBDA_START", "--lambda-stop LAMBDA_STOP",
+                   "--lambda-step LAMBDA_STEP"]),
+])
+def test_curve_commands_name_each_grid_flag_in_help(capsys, command, shown):
+    # Both commands store their grid as start, stop and step; the help still
+    # names each value after its own flag.
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    usage = capsys.readouterr().out
+    for text in shown:
+        assert text in usage
+
+
 def test_invalid_parameters_exit_1(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["evolve", "--p11", "1.5", "--out", str(out)])

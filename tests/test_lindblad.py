@@ -15,6 +15,7 @@ from phasedjcm import (
     ModelParams,
     build_initial_state,
     compare_states,
+    concurrence_lower_bound,
     dense_from_block,
     entropy_report,
     integrate_path,
@@ -425,14 +426,65 @@ def dense_columns(rho, n_max):
     split = rho.reshape(n_max + 1, 2, n_max + 1, 2)
     diag = np.diag(rho).real
     s_joint = von_neumann(rho)
+    s_atom = von_neumann(np.einsum("ninj->ij", split))
+    s_rad = von_neumann(np.einsum("nimi->nm", split))
     s_decohered = von_neumann(np.diag(diag))
     return {
         "s_joint": s_joint,
-        "s_atom": von_neumann(np.einsum("ninj->ij", split)),
-        "s_rad": von_neumann(np.einsum("nimi->nm", split)),
+        "s_atom": s_atom,
+        "s_rad": s_rad,
         "deficit": s_decohered - s_joint,
+        "rel_atom": s_joint - s_atom,
+        "rel_rad": s_joint - s_rad,
+        "mutual": s_atom + s_rad - s_joint,
         "inversion": float(diag[0::2].sum() - diag[1::2].sum()),
     }
+
+
+SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def wootters_clb(rho, n_max):
+    """The concurrence lower bound of a dense state from Wootters' formula,
+    which assumes nothing of the blocks' shape: each projection onto
+    |n,1>, |n,2>, |n+1,1>, |n+1,2> with trace t >= 1e-14 adds t times the
+    concurrence max(0, l1 - l2 - l3 - l4) of its normalized 4x4 matrix,
+    where the l's are the singular values of sqrt(r) (sy x sy) conj(sqrt(r))
+    in decreasing order."""
+    blocks = np.array([rho[2 * n:2 * n + 4, 2 * n:2 * n + 4]
+                       for n in range(n_max)])
+    t = np.einsum("kii->k", blocks).real
+    keep = t >= 1e-14
+    w, v = np.linalg.eigh(blocks[keep] / t[keep, None, None])
+    root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ \
+        v.conj().transpose(0, 2, 1)
+    l = np.linalg.svd(root @ SIGMA_YY @ root.conj(), compute_uv=False)
+    conc = np.maximum(0.0, l[:, 0] - l[:, 1:].sum(axis=1))
+    total = t[keep].sum()
+    return float((t[keep] * conc).sum() / total) if total > 0.0 else 0.0
+
+
+def test_clb_matches_wootters_formula_on_closed_form_states():
+    # The bound's X-shape formula against the generic two-qubit
+    # concurrence.  Closed-form states keep the entries outside the X shape
+    # at exactly 0; on oracle states their round-off would be square-rooted.
+    rng = np.random.default_rng(18)
+    worst, compared = 0.0, 0
+    for _ in range(60):
+        params = ModelParams(
+            kappa_bar=rng.uniform(0.2, 3.0),
+            gamma_bar=float(rng.choice([0.0, 0.01, 0.05])),
+            mean_photons=rng.uniform(0.5, 20.0), lam=rng.uniform(),
+            p11=rng.uniform(), q11=rng.uniform(0.01, 0.99),
+            bell_phase=rng.uniform(0.0, 2.0 * math.pi))
+        initial = build_initial_state(params)
+        for tau in (0.0, rng.uniform(0.0, 70.0)):
+            state = propagate(initial, params, tau)
+            want = wootters_clb(dense_from_block(state), state.n_max)
+            worst = max(worst, abs(concurrence_lower_bound(state) - want))
+            compared += 1
+    assert compared == 120
+    assert worst < 1e-14
 
 
 @pytest.mark.parametrize("name", ["fig2a", "fig5b"])
@@ -455,5 +507,5 @@ def test_runner_columns_match_the_oracle_at_catalog_rows(name):
             for column, want in dense_columns(rho, params.n_max).items():
                 worst = max(worst, abs(series.columns[column][i] - want))
                 compared += 1
-    assert compared == 6 * 8 * 5
+    assert compared == 6 * 8 * 8
     assert worst < 1e-12
