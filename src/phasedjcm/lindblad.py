@@ -57,11 +57,9 @@ def hamiltonian(params: ModelParams) -> np.ndarray:
     paired levels |n, 1> and |n+1, 2>."""
     dim = space_dim(params.n_max)
     ham = np.zeros((dim, dim))
-    for n in range(params.n_max):
-        upper = basis_index(n, 1)
-        lower = basis_index(n + 1, 2)
-        ham[upper, lower] = ham[lower, upper] = (params.kappa_bar
-                                                 * math.sqrt(n + 1.0))
+    upper, partner = _block_entries(params.n_max)
+    coupling = params.kappa_bar * np.sqrt(np.arange(1.0, params.n_max + 1))
+    ham[upper[:-1], partner] = ham[partner, upper[:-1]] = coupling
     return ham
 
 
@@ -113,11 +111,13 @@ def _generator(params: ModelParams):
     couplings = np.repeat(strength[:, None], dim, axis=1)
     gathered = np.empty((dim, dim))
 
+    # The gathers call the array method, which skips np.take's Python
+    # wrapper.
     def apply(x: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-        np.take(x, partner, axis=0, out=gathered, mode="clip")
+        x.take(partner, axis=0, out=gathered, mode="clip")
         np.multiply(gathered, couplings, out=gathered)
         np.copyto(out, gathered.T)
-        np.take(x.T, partner, axis=0, out=gathered, mode="clip")
+        x.T.take(partner, axis=0, out=gathered, mode="clip")
         np.multiply(gathered, couplings, out=gathered)
         out -= gathered
         np.multiply(x, deph, out=gathered)
@@ -202,15 +202,24 @@ def _taylor(apply, x, h, degree, total, terms) -> None:
     """Write into ``total`` the Taylor series of exp(h L) x, stopped at
     degree ``degree`` or once two successive terms add up to at most 2^-53
     of the sum, in Frobenius norm (Al-Mohy and Higham, 2011, Algorithm
-    3.2).  The terms alternate between the two scratch states ``terms``."""
+    3.2).  The terms alternate between the two scratch states ``terms``.
+
+    ``bound``, ||x|| plus the norms of the terms so far, is at least
+    ||total|| by the triangle inequality, so the sum's own norm is taken
+    only once the test could pass against the bound; the relative slack of
+    1e-12 keeps round-off in the two norms from skipping a test that would
+    pass, and every series stops at the same term as with a norm per term."""
     np.copyto(total, x)
     term = x
-    last = math.sqrt(np.vdot(x, x))
+    last = bound = math.sqrt(np.vdot(x, x))
     for k in range(1, degree + 1):
         term = apply(term, h / k, terms[k % 2])
         total += term
         size = math.sqrt(np.vdot(term, term))
-        if (last + size) * 2.0 ** 53 <= math.sqrt(np.vdot(total, total)):
+        bound += size
+        scaled = (last + size) * 2.0 ** 53
+        if (scaled <= bound * (1.0 + 1e-12)
+                and scaled <= math.sqrt(np.vdot(total, total))):
             return
         last = size
 

@@ -186,19 +186,28 @@ def poisson_tail(mean: float, n_max: int) -> float:
     away from the mean the weights fall off like a Gaussian of width
     sqrt(mean) for large means and faster than geometrically for small
     ones, so 12 sqrt(mean) + 40 of them reach round-off.  They are summed
-    in chunks of at most 2^15 entries; the cost grows as sqrt(mean).
+    in chunks of at most 2^15 entries.  The weights come from the one
+    ``poisson_pmf`` evaluation over 0..n_max + 12 sqrt(mean) + 40 that
+    also gives ``build_initial_state`` its weights, so the cost grows as
+    n_max.
     """
+    return _poisson_weights(mean, n_max)[1]
+
+
+def _poisson_weights(mean: float, n_max: int):
+    """The Poisson weights at 0..n_max and ``poisson_tail(mean, n_max)``,
+    from one ``poisson_pmf`` call."""
     if not 0.0 < mean < math.inf:
         raise ValueError("Poisson mean must be positive and finite")
     width = math.ceil(12.0 * math.sqrt(mean) + 40.0)
+    weights = poisson_pmf(mean, np.arange(n_max + 1 + width))
     above = n_max >= mean
     first = n_max + 1 if above else max(0, n_max + 1 - width)
     stop = n_max + 1 + width if above else n_max + 1
     total = 0.0
     for lo in range(first, stop, 2**15):
-        chunk = np.arange(lo, min(lo + 2**15, stop))
-        total += float(np.sum(poisson_pmf(mean, chunk)))
-    return total if above else 1.0 - total
+        total += float(np.sum(weights[lo:min(lo + 2**15, stop)]))
+    return weights[:n_max + 1], total if above else 1.0 - total
 
 
 @dataclass(frozen=True)
@@ -334,14 +343,13 @@ def rabi_frequency(params: ModelParams, n):
     return _per_row(np.sqrt(radicand))
 
 
-def _initial_arrays(params: ModelParams, lam: np.ndarray):
-    """Raw (a, b, c) arrays of the Bell-mixture initial state, unvalidated.
+def _initial_arrays(params: ModelParams, lam: np.ndarray, pn: np.ndarray):
+    """Raw (a, b, c) arrays of the Bell-mixture initial state, unvalidated,
+    from the Poisson weights ``pn`` at 0..n_max.
 
     ``lam`` is the mixture weight; a 1-D array of weights gives arrays with
     a leading batch axis, one row per weight.
     """
-    n_max = params.n_max
-    pn = poisson_pmf(params.mean_photons, np.arange(n_max + 1))
     lam = lam[..., None]
     q11, q22 = params.q11, params.q22
     factored = (1.0 - lam) * params.p11 + lam * q11
@@ -369,13 +377,13 @@ def build_initial_state(params: ModelParams, lam=None) -> BlockState:
     Checks finiteness, then ranges, then the pair frequencies, then the
     Poisson tail above n_max, then the positivity of every initial 2x2
     block; the first stage that fails raises ParameterError with all of its
-    messages.
+    messages.  The state's Poisson weights and the tail it checks come from
+    one ``poisson_pmf`` evaluation over 0..n_max + 12 sqrt(N) + 40.
     """
     lam = np.asarray(params.lam if lam is None else lam, dtype=float)
-    values = {key: lam if name == "lam" else getattr(params, name)
-              for name, key, _ in _PARAMS}
-    errors = [f"{key} must be finite" for key, value in values.items()
-              if not np.all(np.isfinite(value))]
+    errors = [f"{key} must be finite" for name, key, _ in _PARAMS
+              if not (np.all(np.isfinite(lam)) if name == "lam"
+                      else math.isfinite(getattr(params, name)))]
     if errors:
         raise ParameterError("; ".join(errors))
 
@@ -405,15 +413,13 @@ def build_initial_state(params: ModelParams, lam=None) -> BlockState:
     except ValueError as exc:
         raise ParameterError(str(exc)) from None
 
-    # The state's arrays come first: the tail then never costs more than
-    # they do, and an n_max too large to hold fails at once.
-    arrays = _initial_arrays(params, lam)
-    tail = poisson_tail(params.mean_photons, params.n_max)
+    # One Poisson evaluation gives the state's weights and the tail.
+    pn, tail = _poisson_weights(params.mean_photons, params.n_max)
     if tail >= TAIL_TOL:
         raise ParameterError(f"Poisson tail above n_max is {tail:.3e} >= "
                              f"{TAIL_TOL:.1e}; raise n_max")
 
-    state = BlockState(*arrays)
+    state = BlockState(*_initial_arrays(params, lam, pn))
     lowest = float(np.min(state.min_eigenvalue()))
     if lowest < -1e-12:
         raise ParameterError("initial state is not positive semidefinite "

@@ -52,7 +52,8 @@ def _entropy(w: np.ndarray, terms=None) -> np.ndarray:
         np.putmask(terms, w <= _ENTROPY_FLOOR, 1.0)
         np.log(terms, out=terms)
     terms *= w
-    return -terms.sum(axis=-1)
+    # 0 - sum, not -sum: a pure state's zero sum gives +0.0, never -0.0.
+    return 0.0 - terms.sum(axis=-1)
 
 
 def shannon_entropy(weights):

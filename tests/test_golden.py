@@ -94,6 +94,16 @@ def test_digests_cover_every_catalog_curve(digests):
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
+def test_no_catalog_cell_reads_negative_zero(name, tmp_path, catalog_runs):
+    # A pure level's entropy sums zero terms; it prints as 0, not -0.
+    for series in catalog_runs(name):
+        path = tmp_path / f"{name}__{series.label}.csv"
+        emit_csv(series, path)
+        cells = path.read_text(encoding="ascii").replace("\n", ",").split(",")
+        assert "-0" not in cells, path.name
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_csv_bytes_match_digests(name, digests, tmp_path,
                                          catalog_runs):
     changed = []

@@ -26,6 +26,7 @@ from phasedjcm import (
 from phasedjcm.lindblad import (
     _generator,
     _pack,
+    _taylor,
     _unpack,
     basis_index,
     dephasing_signs,
@@ -91,15 +92,17 @@ def test_basis_layout():
 
 
 def test_hamiltonian_couples_interaction_pairs_only():
-    params = make_params(n_max=6)
-    h = hamiltonian(params)
-    assert np.allclose(h, h.conj().T)
-    expected = np.zeros_like(h)
-    for n in range(6):
-        g = basis_index(n, 1)
-        e = basis_index(n + 1, 2)
-        expected[g, e] = expected[e, g] = math.sqrt(n + 1.0)
-    np.testing.assert_allclose(h, expected, atol=0.0)
+    # Entry for entry against a loop over basis_index.
+    for n_max in range(1, 9):
+        params = make_params(kappa_bar=0.37, n_max=n_max)
+        h = hamiltonian(params)
+        np.testing.assert_array_equal(h, h.T)
+        expected = np.zeros_like(h)
+        for n in range(n_max):
+            g = basis_index(n, 1)
+            e = basis_index(n + 1, 2)
+            expected[g, e] = expected[e, g] = 0.37 * math.sqrt(n + 1.0)
+        np.testing.assert_array_equal(h, expected)
 
 
 def test_dephasing_signs_alternate():
@@ -244,6 +247,86 @@ def test_integrate_path_is_linear_at_extreme_scales(factor):
     want = integrate_path(rho0, params, [2.0])[0]
     got = integrate_path(rho0 * factor, params, [2.0])[0] / factor
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def taylor_with_a_norm_per_term(apply, x, h, degree, total, terms):
+    """``_taylor``'s series with ||total|| taken after every term; returns
+    the number of generator applications."""
+    np.copyto(total, x)
+    term = x
+    last = math.sqrt(np.vdot(x, x))
+    for k in range(1, degree + 1):
+        term = apply(term, h / k, terms[k % 2])
+        total += term
+        size = math.sqrt(np.vdot(term, term))
+        if (last + size) * 2.0 ** 53 <= math.sqrt(np.vdot(total, total)):
+            return k
+        last = size
+    return degree
+
+
+def assert_same_series(apply, x, h, degree):
+    """``_taylor`` gives the reference's sum, bit for bit, after as many
+    generator applications."""
+    want, *terms = (np.empty_like(x) for _ in range(3))
+    applied = taylor_with_a_norm_per_term(apply, x, h, degree, want, terms)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return apply(*args)
+
+    got, *terms = (np.empty_like(x) for _ in range(3))
+    _taylor(counted, x, h, degree, got, terms)
+    np.testing.assert_array_equal(got, want)
+    assert len(calls) == applied
+
+
+def test_taylor_stops_where_a_norm_per_term_stops():
+    rng = np.random.default_rng(19)
+    for seed in range(4):
+        for degree, theta in zip(lindblad._DEGREES, lindblad._THETAS):
+            n_max = int(rng.integers(1, 11))
+            params = make_params(kappa_bar=float(rng.uniform(0.2, 2.0)),
+                                 gamma_bar=float(rng.uniform(0.0, 0.3)),
+                                 n_max=n_max)
+            apply, norm = _generator(params)
+            rho = random_density(space_dim(n_max), seed=1000 * seed + degree)
+            x = _pack(0.5 * (rho + rho.conj().T))
+            # h ||L||_1 anywhere up to theta_m, the end itself included.
+            for reach in (float(rng.uniform(0.0, 1.0)), 1.0):
+                h = reach * theta / norm
+                assert_same_series(apply, x, h, int(degree))
+                assert_same_series(apply, np.zeros_like(x), h, int(degree))
+                for factor in (1e-170, 1e300):
+                    assert_same_series(apply, x * factor, h, int(degree))
+    # L = c I: every term is parallel to x, so for c > 0 the bound is
+    # ||total|| up to round-off, and ||total|| outgrows ||x||.
+    for c in (3.0, 0.5, -0.5, -3.0):
+        def scalar(x, scale, out, c=c):
+            return np.multiply(x, c * scale, out=out)
+        for degree, theta in zip(lindblad._DEGREES, lindblad._THETAS):
+            for reach in (0.3, 1.0):
+                assert_same_series(scalar, x, reach * theta / abs(c),
+                                   int(degree))
+
+
+@pytest.mark.parametrize("factor", [1e-170, 1.0, 1e300])
+def test_taylor_keeps_every_series_of_a_path(monkeypatch, factor):
+    # The paths of test_integrate_path_is_linear_at_extreme_scales, with
+    # every series checked against the reference as the path runs.
+    series = []
+
+    def checked(apply, x, h, degree, total, terms):
+        assert_same_series(apply, x, h, degree)
+        series.append(degree)
+        return _taylor(apply, x, h, degree, total, terms)
+
+    monkeypatch.setattr(lindblad, "_taylor", checked)
+    params = make_params(gamma_bar=0.05, n_max=6)
+    rho0 = random_density(space_dim(6), seed=13)
+    integrate_path(rho0 * factor, params, [0.5, 2.0])
+    assert series
 
 
 def test_zero_span_and_zero_state_return_at_once(monkeypatch):

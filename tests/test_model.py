@@ -109,6 +109,56 @@ def test_poisson_tail_matches_mpmath(mean, n_max):
     assert abs(got - want) <= 1e-12 * want
 
 
+def chunked_tail(mean, n_max):
+    """``poisson_tail`` summed from its own ``poisson_pmf`` call per chunk
+    of at most 2^15 weights."""
+    width = math.ceil(12.0 * math.sqrt(mean) + 40.0)
+    above = n_max >= mean
+    first = n_max + 1 if above else max(0, n_max + 1 - width)
+    stop = n_max + 1 + width if above else n_max + 1
+    total = 0.0
+    for lo in range(first, stop, 2**15):
+        chunk = np.arange(lo, min(lo + 2**15, stop))
+        total += float(np.sum(poisson_pmf(mean, chunk)))
+    return total if above else 1.0 - total
+
+
+def bell_mixture(params, pn):
+    """The initial state's (a, b, c) from the Poisson weights pn."""
+    lam, q11, q22 = params.lam, params.q11, params.q22
+    a = ((1.0 - lam) * params.p11 + lam * q11) * pn
+    b = np.empty_like(a)
+    b[0] = (1.0 - lam) * params.p22 * pn[0]
+    b[1:] = (1.0 - lam) * params.p22 * pn[1:] + lam * q22 * pn[:-1]
+    c = (pn[:-1] * lam * np.sqrt(q11 * q22)
+         * np.exp(-1j * params.bell_phase))
+    return a, b, c
+
+
+@pytest.mark.parametrize("mean", [0.5, 5.0, 20.0, 1e3, 1e5])
+def test_one_poisson_evaluation_keeps_the_tail_the_state_and_the_cutoff(mean):
+    # The smallest n_max whose chunked tail is below TAIL_TOL, by bisection.
+    lo, hi = 0, default_n_max(mean)
+    assert chunked_tail(mean, lo) >= TAIL_TOL > chunked_tail(mean, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if chunked_tail(mean, mid) < TAIL_TOL else (mid, hi)
+    for n_max in sorted({int(mean) // 2, hi // 2, hi - 1, hi, hi + 1}):
+        assert poisson_tail(mean, n_max) == chunked_tail(mean, n_max)
+        if n_max < 1:
+            continue
+        params = make_params(mean_photons=mean, lam=0.3, p11=0.6, q11=0.4,
+                             n_max=n_max)
+        if n_max < hi:
+            with pytest.raises(ParameterError, match="raise n_max"):
+                build_initial_state(params)
+            continue
+        state = build_initial_state(params)
+        want = bell_mixture(params, poisson_pmf(mean, np.arange(n_max + 1)))
+        for got, expected in zip((state.a, state.b, state.c), want):
+            np.testing.assert_array_equal(got, expected)
+
+
 def test_default_n_max_keeps_tail_small():
     for mean in (0.5, 2.0, 5.0, 20.0, 1e3, 1e4, 1e5):
         assert poisson_tail(mean, default_n_max(mean)) < TAIL_TOL

@@ -26,6 +26,7 @@ def make_params(**overrides):
 def test_shannon_entropy_conventions():
     assert shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2), rel=1e-15)
     assert shannon_entropy([1.0, 0.0]) == 0.0          # 0 ln 0 := 0
+    assert math.copysign(1.0, shannon_entropy([1.0, 0.0])) == 1.0  # not -0
     assert shannon_entropy([1.0, 1e-320]) == 0.0       # below the floor
     assert shannon_entropy([]) == 0.0
 
@@ -34,7 +35,7 @@ def test_shannon_entropy_equals_the_masked_reference_bit_for_bit():
     def reference(w):
         keep = w > 1e-300
         terms = np.where(keep, w * np.log(np.where(keep, w, 1.0)), 0.0)
-        return -np.sum(terms, axis=-1)
+        return 0.0 - np.sum(terms, axis=-1)
 
     rng = np.random.default_rng(8)
     rows = np.array([
@@ -65,7 +66,7 @@ def masked_entropy(w):
     np.putmask(terms, w <= 1e-300, 1.0)
     np.log(terms, out=terms)
     terms *= w
-    return -terms.sum(axis=-1)
+    return 0.0 - terms.sum(axis=-1)
 
 
 ENTROPY_ROWS = {
