@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .model import (BlockState, ModelParams, _abs_sq, _levels, _split_levels,
-                    rabi_frequency)
+from .model import BlockState, ModelParams, _split_levels, rabi_frequency
 
 
 def _pair_rates(params: ModelParams, n_max: int):
@@ -115,30 +114,42 @@ def _tau_blocks(state: BlockState, params: ModelParams, grid, rows: int):
     evenly spaced grid of times, in order: the block's slice of the grid,
     its populations a and b side by side and its squared coherences.
 
-    Only the first block is propagated from ``state``.  Every later block
-    starting at grid[lo] moves the first block's rows on by the one scalar
-    time grid[lo] - grid[0] (a short last block takes the first rows),
-    writing into the arrays yielded for the first block, so each block is
-    overwritten by the next.  A block equals propagate of those rows by its
-    shift bit for bit, reached in at most two exact steps; the unpaired
-    levels are constants of the motion, so no move writes them.  The step
+    Every block is one exact step of ``_move_pairs``, written into the
+    arrays yielded for the first block, so each block is overwritten by
+    the next.  The first block steps the single ``state`` to its times;
+    every later block starting at grid[lo] moves the first block's rows on
+    by the one scalar time grid[lo] - grid[0] (a short last block takes
+    the first rows).  Each equals propagate of what it moves bit for bit,
+    so every sample is reached in at most two exact steps.  The unpaired
+    levels are constants of the motion, so no step writes them.  The step
     factors of as many shifts as a block has rows are computed together
     when the walk reaches them, so a table is never larger than the block.
     Raises ValueError when a phase E tau is not finite.
     """
-    first = propagate(state, params, grid[:rows])
     rows = min(rows, grid.size)
     rates = _pair_rates(params, state.n_max)
-    a0 = np.ascontiguousarray(first.a[:, :-1])
-    b0 = np.ascontiguousarray(first.b[:, 1:])
-    diff = a0 - b0
-    im0 = np.ascontiguousarray(first.c.imag)
-    drive = _drive(rates, im0)
-    re0 = np.ascontiguousarray(first.c.real)
-    work = (_levels(first), _abs_sq(first.c), np.empty(im0.shape),
-            np.empty(im0.shape))
-    del first
-    yield slice(0, rows), *work[:2]
+    # re0 and im0 keep the first block's Re c and Im c for the later moves;
+    # one array each stays the size of a block (runner._BLOCK_ENTRIES).
+    levels = np.empty((rows, 2 * state.n_max + 2))
+    re0, im0, c_sq, im, flow = (np.empty((rows, state.n_max))
+                                for _ in range(5))
+    a, b = _split_levels(levels)
+    factors = _step_factors(params, rates, grid[:rows])
+    pairs = state.a[:-1], state.b[1:]
+    _move_pairs(factors, *pairs, np.subtract(*pairs), state.c.imag,
+                _drive(rates, state.c.imag), a[:, :-1], b[:, 1:], im0, flow)
+    a[:, -1], b[:, 0] = state.a[-1], state.b[0]
+    # Contiguous copies of the first block's pairs, which the later moves
+    # read faster than views of the levels they overwrite.
+    a0, b0 = a[:, :-1].copy(), b[:, 1:].copy()
+    # |c|^2 = Re c * Re c + Im c * Im c with Re c = decay Re c0, the
+    # products propagate's output gives, so every block matches it.
+    np.multiply(factors[-1], state.c.real, out=re0)
+    np.multiply(re0, re0, out=c_sq)
+    c_sq += np.multiply(im0, im0, out=flow)
+    yield slice(0, rows), levels, c_sq
+    diff, drive = a0 - b0, _drive(rates, im0)
+    work = (levels, c_sq, im, flow)
     for start in range(rows, grid.size, rows * rows):
         table = _step_factors(params, rates,
                               grid[start:start + rows * rows:rows] - grid[0])
@@ -149,8 +160,6 @@ def _tau_blocks(state: BlockState, params: ModelParams, grid, rows: int):
             _move_pairs(factors, a0[:size], b0[:size], diff[:size],
                         im0[:size], drive[:size], a[:, :-1], b[:, 1:], im,
                         flow)
-            # |c|^2 = (decay Re c0)^2 + (Im c)^2, the products _abs_sq takes
-            # of propagate's output, so the block matches it bit for bit.
             np.multiply(re0[:size], factors[-1], out=c_sq)
             c_sq *= c_sq
             c_sq += np.multiply(im, im, out=flow)

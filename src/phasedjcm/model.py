@@ -185,11 +185,10 @@ def poisson_tail(mean: float, n_max: int) -> float:
     the complement of the weights up to n_max, so no sum cancels.  Moving
     away from the mean the weights fall off like a Gaussian of width
     sqrt(mean) for large means and faster than geometrically for small
-    ones, so 12 sqrt(mean) + 40 of them reach round-off.  They are summed
-    in chunks of at most 2^15 entries.  The weights come from the one
-    ``poisson_pmf`` evaluation over 0..n_max + 12 sqrt(mean) + 40 that
-    also gives ``build_initial_state`` its weights, so the cost grows as
-    n_max.
+    ones, so 12 sqrt(mean) + 40 of them reach round-off.  The weights come
+    from the one ``poisson_pmf`` evaluation over 0..n_max + 12 sqrt(mean)
+    + 40 that also gives ``build_initial_state`` its weights, so the cost
+    grows as n_max.
     """
     return _poisson_weights(mean, n_max)[1]
 
@@ -201,13 +200,10 @@ def _poisson_weights(mean: float, n_max: int):
         raise ValueError("Poisson mean must be positive and finite")
     width = math.ceil(12.0 * math.sqrt(mean) + 40.0)
     weights = poisson_pmf(mean, np.arange(n_max + 1 + width))
-    above = n_max >= mean
-    first = n_max + 1 if above else max(0, n_max + 1 - width)
-    stop = n_max + 1 + width if above else n_max + 1
-    total = 0.0
-    for lo in range(first, stop, 2**15):
-        total += float(np.sum(weights[lo:min(lo + 2**15, stop)]))
-    return weights[:n_max + 1], total if above else 1.0 - total
+    if n_max >= mean:
+        return weights[:n_max + 1], float(np.sum(weights[n_max + 1:]))
+    below = float(np.sum(weights[max(0, n_max + 1 - width):n_max + 1]))
+    return weights[:n_max + 1], 1.0 - below
 
 
 @dataclass(frozen=True)

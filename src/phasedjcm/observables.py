@@ -39,18 +39,14 @@ def _entropy(w: np.ndarray, terms=None) -> np.ndarray:
     """-sum w ln w of a float array along its last axis, over the entries
     above the underflow floor.  ``terms`` is an optional work array of w's
     shape."""
-    if w.size and w.min() > _ENTROPY_FLOOR:
-        # Every entry is above the floor (a nan fails the test).
-        terms = np.log(w, out=terms)
+    if terms is None:
+        terms = w.copy()
     else:
-        # The logarithm reads 1, so each term is 0, wherever w is not above
-        # the floor.
-        if terms is None:
-            terms = w.copy()
-        else:
-            np.copyto(terms, w)
-        np.putmask(terms, w <= _ENTROPY_FLOOR, 1.0)
-        np.log(terms, out=terms)
+        np.copyto(terms, w)
+    # The logarithm reads 1, so each term is 0, wherever w is not above the
+    # floor (a nan is kept, and gives a nan sum).
+    np.putmask(terms, w <= _ENTROPY_FLOOR, 1.0)
+    np.log(terms, out=terms)
     terms *= w
     # 0 - sum, not -sum: a pure state's zero sum gives +0.0, never -0.0.
     return 0.0 - terms.sum(axis=-1)
@@ -188,17 +184,15 @@ def _work_arrays(rows: int, n_max: int) -> tuple:
             *(np.empty((rows, n_max)) for _ in range(3)))
 
 
-def _columns(levels, c_sq, work=None) -> dict:
+def _columns(levels, c_sq, work) -> dict:
     """The fields of ``EntropyReport`` and the concurrence bound ``"clb"``,
     as arrays, of a block of states whose populations a and b are the two
     halves of ``levels`` along the last axis, with squared coherences c_sq.
 
     The entropies and the bound share the photon distribution, computed
     once.  The large temporaries live in ``work`` (from ``_work_arrays``),
-    reused block after block, or are allocated when it is None."""
-    rows = levels.shape[0]
-    photon, *work = ((None,) * 6 if work is None
-                     else (arr[:rows] for arr in work))
+    reused block after block."""
+    photon, *work = (arr[:levels.shape[0]] for arr in work)
     photon = np.add(*_split_levels(levels), out=photon)
     fields = _entropies(levels, c_sq, photon, work[:2])
     fields["clb"] = _clb(levels, c_sq, photon, work[2:])

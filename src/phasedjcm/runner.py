@@ -4,9 +4,9 @@ Each catalog scenario bundles one figure's worth of curves; a curve is one
 parameter set swept over tau (or, for the initial state scans, over the
 mixture weight lambda).  A curve is evaluated in blocks of grid rows, each
 block one batched state, so every layer sees whole rows at once: a tau
-curve's blocks come from ``evolution._tau_blocks``, which propagates the
-first block from tau = 0 and moves that block's rows on in place, by one
-scalar time, for every later block, while a lambda scan builds each
+curve's blocks come from ``evolution._tau_blocks``, which steps the
+initial state to the first block's times and moves that block's rows on,
+by one scalar time, for every later block, while a lambda scan builds each
 block's initial states (``_lambda_blocks``).  One column kernel,
 ``observables._columns``, turns every block into the computed columns.
 Output is one CSV per curve with a fixed column set, printed with 9
@@ -17,6 +17,7 @@ byte-identical.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +121,8 @@ def _run_curve(scenario: Scenario, curve: Curve,
     The sweeps differ only in the batched state at a block of grid points:
     the initial state propagated to each tau (``_tau_blocks``), or the
     validated initial state at each lambda (where tau = 0).  Every block's
-    columns come from ``observables._columns``.
+    columns come from ``observables._columns``, whose large temporaries
+    live in work arrays held for the whole curve.
     """
     params = curve.params
     lam = None if scenario.sweep == "tau" else grid
@@ -130,21 +132,14 @@ def _run_curve(scenario: Scenario, curve: Curve,
                                   None if lam is None else grid[[0, -1]])
     rows = min(grid.size, max(1, _BLOCK_ENTRIES // (params.n_max + 1)))
     if lam is None:
-        tau = grid
-        blocks = _tau_blocks(initial, params, grid, rows)
-        # A tau block makes no other large temporary, so work arrays held
-        # for the curve spare it the page faults of a heap that glibc trims
-        # after every block.
-        work = _work_arrays(rows, params.n_max)
+        tau, blocks = grid, _tau_blocks(initial, params, grid, rows)
     else:
-        tau = 0.0
-        blocks = _lambda_blocks(params, grid, rows)
-        # A lambda block builds its state afresh, and held work arrays made
-        # lambda sweeps slower: over six alternating processes on a 2-vCPU
-        # host, fig1a took 4.6-4.7 ms without them and 5.4-8.3 ms with
-        # them, and a 401-row, six-curve sweep-clb set (N 2, 20 and 100)
-        # 37.1-38.8 ms against 40.1-64.0 ms.
-        work = None
+        tau, blocks = 0.0, _lambda_blocks(params, grid, rows)
+    # Work arrays held for the curve spare a tau block, which makes no
+    # other large temporary, the page faults of a heap that glibc trims
+    # after every block.  A lambda block builds its state afresh above
+    # them, so the heap is still trimmed after every lambda block.
+    work = _work_arrays(rows, params.n_max)
     cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}
     for block, levels, c_sq in blocks:
         fields = _columns(levels, c_sq, work)
@@ -168,15 +163,27 @@ def run_scenario(scenario: Scenario) -> list:
 
 
 def emit_csv(series: TimeSeries, path) -> None:
-    """Write one curve as CSV: header plus one row per grid point."""
+    """Write one curve as CSV: header plus one row per grid point.
+
+    The rows go to a new file beside ``path``, renamed onto it only once
+    complete, so a failed or interrupted write leaves any earlier CSV
+    whole."""
     header = ",".join((series.axis_name,) + COLUMNS)
     table = np.column_stack([series.axis]
                             + [series.columns[name] for name in COLUMNS])
     # b"%.9g" formats a float exactly as f"{value:.9g}" does, in ASCII.
     row = b",".join([b"%.9g"] * table.shape[1]) + b"\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+    # "xb" gives the file the default mode and never overwrites another.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(header.encode("ascii") + b"\n")
+            fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 # --- scenario catalog --------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scenario catalog, CSV emission, and command-line behavior."""
 
+import ast
+import errno
 import math
 import os
 import re
@@ -156,6 +158,55 @@ def test_emit_csv_is_deterministic(tmp_path):
         emit_csv(series[1], path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class FailingFile:
+    """A binary file whose second write raises ``error``."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error, self.writes = fh, error, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise self.error
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()])
+def test_emit_csv_keeps_the_old_file_when_a_write_fails(tmp_path,
+                                                        monkeypatch, error):
+    """A write that fails after the header leaves the earlier CSV's bytes
+    and no temporary file; the next write replaces the CSV whole, with the
+    mode of a plain new file."""
+    series = run_scenario(tiny_scenario())
+    path = tmp_path / "tiny.csv"
+    emit_csv(series[0], path)
+    old = path.read_bytes()
+    monkeypatch.setattr(phasedjcm.runner, "open",
+                        lambda file, mode: FailingFile(open(file, mode),
+                                                       error),
+                        raising=False)
+    with pytest.raises(type(error)):
+        emit_csv(series[1], path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+    monkeypatch.undo()
+    emit_csv(series[1], path)
+    fresh = tmp_path / "fresh.csv"
+    emit_csv(series[1], fresh)
+    assert path.read_bytes() == fresh.read_bytes() != old
+    plain = tmp_path / "plain"
+    plain.touch()
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert sorted(tmp_path.iterdir()) == [fresh, plain, path]
 
 
 def test_scenario_command_writes_expected_files(tmp_path, capsys):
@@ -621,3 +672,29 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "fig1a" in proc.stdout
+
+
+def test_package_modules_use_every_import():
+    """Every name a package module imports is used in it; a name listed in
+    ``__all__`` counts as used, and ``from __future__`` imports are not
+    names."""
+    unused = []
+    for path in sorted(Path(phasedjcm.__file__).parent.glob("*.py")):
+        imported, used = {}, set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.split(".")[0],
+                                 node.lineno) for alias in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported.update((alias.asname or alias.name, node.lineno)
+                                for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -151,8 +151,8 @@ def test_clb_stays_in_unit_interval_along_evolution():
 
 
 def masked_clb(levels, c_sq):
-    """_clb's general path: projections below the 1e-14 weight floor add
-    nothing, and a row of weightless projections reads 0."""
+    """The masked reference for _clb: projections below the 1e-14 weight
+    floor add nothing, and a row of weightless projections reads 0."""
     if levels.size and levels.min() < 0.0:
         levels = np.maximum(levels, 0.0)
     half = levels.shape[-1] // 2
@@ -186,8 +186,8 @@ def clb_rows(*special):
 CLB_INPUTS = {
     # Every projection carries weight, zeros and a subnormal included, and
     # the round-off negative is clipped first.
-    "shortcut": (True, clb_rows([], [("b", 0, 0.0), ("a", 5, 5e-324)],
-                                [("b", 0, -1e-18)])),
+    "all_weighted": (True, clb_rows([], [("b", 0, 0.0), ("a", 5, 5e-324)],
+                                    [("b", 0, -1e-18)])),
     # The last row's projections carry 2e-16 each; unskipped, the even
     # ones would read fully entangled.
     "weightless_row": (False, clb_rows([], [("b", 0, 0.0)],
@@ -202,11 +202,12 @@ CLB_INPUTS = {
 
 
 @pytest.mark.parametrize("case", sorted(CLB_INPUTS))
-def test_clb_shortcut_matches_the_masked_path(case):
-    shortcut, (levels, c_sq) = CLB_INPUTS[case]
+def test_clb_matches_the_masked_reference(case):
+    all_weighted, (levels, c_sq) = CLB_INPUTS[case]
     photon = np.maximum(levels, 0.0)
     photon = photon[:, :6] + photon[:, 6:]
-    assert bool((photon[:, :-1] + photon[:, 1:]).min() >= 1e-14) == shortcut
+    assert (bool((photon[:, :-1] + photon[:, 1:]).min() >= 1e-14)
+            == all_weighted)
     want = masked_clb(levels, c_sq)
     np.testing.assert_array_equal(_clb(levels, c_sq), want)
     work = tuple(np.empty(c_sq.shape) for _ in range(3))

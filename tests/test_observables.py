@@ -60,8 +60,8 @@ def test_shannon_entropy_equals_the_masked_reference_bit_for_bit():
 
 
 def masked_entropy(w):
-    """_entropy's general path: every entry at or below the 1e-300 floor
-    reads as a zero term."""
+    """The masked reference for _entropy: every entry at or below the
+    1e-300 floor reads as a zero term."""
     terms = w.copy()
     np.putmask(terms, w <= 1e-300, 1.0)
     np.log(terms, out=terms)
@@ -70,8 +70,8 @@ def masked_entropy(w):
 
 
 ENTROPY_ROWS = {
-    # Every entry above the floor: the logarithm of w itself.
-    "shortcut": (True, np.vstack([
+    # Every entry above the floor, so the mask replaces none.
+    "above_floor": (True, np.vstack([
         np.random.default_rng(3).random((3, 5)) + 1e-3,
         [2e-300, 1e-299, 1e-150, 0.5, 1.0],
     ])),
@@ -86,9 +86,9 @@ ENTROPY_ROWS = {
 
 
 @pytest.mark.parametrize("case", sorted(ENTROPY_ROWS))
-def test_entropy_shortcut_matches_the_masked_path(case):
-    shortcut, rows = ENTROPY_ROWS[case]
-    assert bool(rows.size and rows.min() > 1e-300) == shortcut
+def test_entropy_matches_the_masked_reference(case):
+    above_floor, rows = ENTROPY_ROWS[case]
+    assert bool(rows.size and rows.min() > 1e-300) == above_floor
     want = masked_entropy(rows)
     for terms in (None, np.empty_like(rows)):
         got = _entropy(rows, terms)

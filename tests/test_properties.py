@@ -38,6 +38,7 @@ from phasedjcm import (
     propagate,
     run_scenario,
 )
+from phasedjcm import runner
 from phasedjcm.cli import main
 from phasedjcm.evolution import _tau_blocks
 from phasedjcm.model import _abs_sq, _levels
@@ -196,6 +197,35 @@ def test_runner_blocks_match_one_direct_step_per_row(mean_photons, gamma_bar):
                      "s_joint", "rel_atom", "rel_rad", "inversion"):
             assert abs(series.columns[name][i] - want[name]) <= 1e-12, (
                 name, tau)
+
+
+def test_lambda_sweep_of_many_blocks_matches_the_public_layers(monkeypatch):
+    """A lambda sweep at N = 100 (n_max 240, so 31 rows a block) over 401
+    weights makes 12 full blocks and a short last one of 29, all through
+    the same work arrays held for the curve.  Every kernel column equals
+    entropy_report and concurrence_lower_bound of the whole batch of
+    initial states bit for bit."""
+    params = ModelParams(kappa_bar=1.0, gamma_bar=0.0, mean_photons=100.0,
+                         lam=0.0, p11=0.8, q11=0.5, bell_phase=math.pi / 6.0)
+    scenario = Scenario(name="t", sweep="lambda", start=0.0, stop=1.0,
+                        step=0.0025, curves=(Curve("c", params),))
+    calls = []
+
+    def columns(levels, c_sq, work):
+        calls.append((levels.shape[0], work))
+        return _columns(levels, c_sq, work)
+
+    monkeypatch.setattr(runner, "_columns", columns)
+    (series,) = run_scenario(scenario)
+    rows = _BLOCK_ENTRIES // (params.n_max + 1)
+    assert (params.n_max, rows, series.axis.size) == (240, 31, 401)
+    assert [size for size, _ in calls] == [rows] * 12 + [29]
+    assert all(work is calls[0][1] for _, work in calls)
+    state = build_initial_state(params, series.axis)
+    want = vars(entropy_report(state))
+    want["clb"] = concurrence_lower_bound(state)
+    for name in COLUMNS[:-1]:
+        np.testing.assert_array_equal(series.columns[name], want[name], name)
 
 
 @PROPERTY_SETTINGS
