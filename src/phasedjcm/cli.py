@@ -28,7 +28,8 @@ from .model import (
     build_initial_state,
     params_from_mapping,
 )
-from .runner import CATALOG, Curve, Scenario, emit_csv, run_scenario
+from .runner import (CATALOG, Curve, Scenario, _series, _staged,
+                     _write_temporary)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser,
@@ -49,12 +50,21 @@ def _params_from_args(args) -> ModelParams:
 
 
 def _run_and_write(scenario: Scenario, args) -> int:
-    all_series = run_scenario(scenario)
+    """Compute the scenario's curves one at a time, writing each to a
+    temporary file in --out as soon as it is computed; only once the last
+    has succeeded are they all renamed onto their CSVs."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for series in all_series:
-        path = out / f"{series.scenario}__{series.label}.csv"
-        emit_csv(series, path)
+    with _staged() as staged:
+        for series in _series(scenario):
+            # Made once a curve exists: a call that fails at once leaves
+            # no directory.
+            out.mkdir(parents=True, exist_ok=True)
+            path = out / f"{series.scenario}__{series.label}.csv"
+            staged.append((_write_temporary(series, path), path))
+            # Free the curve's columns before the next curve is computed.
+            del series
+        paths = [path for _, path in staged]
+    for path in paths:
         print(path)
     return 0
 

@@ -258,9 +258,10 @@ class BlockState:
                                axis=-1))
 
 
-def _abs_sq(c):
-    """|c|^2 = Re c * Re c + Im c * Im c of a complex array, elementwise."""
-    c_sq = c.real * c.real
+def _abs_sq(c, out=None):
+    """|c|^2 = Re c * Re c + Im c * Im c of a complex array, elementwise;
+    written into ``out`` when it is given."""
+    c_sq = np.multiply(c.real, c.real, out=out)
     c_sq += c.imag * c.imag
     return c_sq
 
@@ -339,24 +340,31 @@ def rabi_frequency(params: ModelParams, n):
     return _per_row(np.sqrt(radicand))
 
 
-def _initial_arrays(params: ModelParams, lam: np.ndarray, pn: np.ndarray):
+def _initial_arrays(params: ModelParams, lam: np.ndarray, pn: np.ndarray,
+                    out=None):
     """Raw (a, b, c) arrays of the Bell-mixture initial state, unvalidated,
     from the Poisson weights ``pn`` at 0..n_max.
 
     ``lam`` is the mixture weight; a 1-D array of weights gives arrays with
-    a leading batch axis, one row per weight.
+    a leading batch axis, one row per weight.  ``out`` is an optional triple
+    of arrays of those shapes to write a, b and c into.
     """
     lam = lam[..., None]
     q11, q22 = params.q11, params.q22
-    factored = (1.0 - lam) * params.p11 + lam * q11
-
-    a = factored * pn
-    b = np.empty(a.shape)
+    if out is None:
+        shape = lam.shape[:-1] + pn.shape
+        out = (np.empty(shape), np.empty(shape),
+               np.empty(shape[:-1] + (pn.size - 1,), dtype=complex))
+    a, b, c = out
+    np.multiply((1.0 - lam) * params.p11 + lam * q11, pn, out=a)
     # |0,2> takes only the factored level-2 piece; the Bell piece never
     # populates it.
     b[..., :1] = (1.0 - lam) * params.p22 * pn[0]
-    b[..., 1:] = (1.0 - lam) * params.p22 * pn[1:] + lam * q22 * pn[:-1]
-    c = pn[:-1] * lam * np.sqrt(q11 * q22) * np.exp(-1j * params.bell_phase)
+    np.multiply((1.0 - lam) * params.p22, pn[1:], out=b[..., 1:])
+    b[..., 1:] += lam * q22 * pn[:-1]
+    np.multiply(pn[:-1], lam, out=c)
+    c *= np.sqrt(q11 * q22)
+    c *= np.exp(-1j * params.bell_phase)
     return a, b, c
 
 

@@ -6,16 +6,19 @@ mixture weight lambda).  A curve is evaluated in blocks of grid rows, each
 block one batched state, so every layer sees whole rows at once: a tau
 curve's blocks come from ``evolution._tau_blocks``, which steps the
 initial state to the first block's times and moves that block's rows on,
-by one scalar time, for every later block, while a lambda scan builds each
+by one scalar time, for every later block, while a lambda scan writes each
 block's initial states (``_lambda_blocks``).  One column kernel,
 ``observables._columns``, turns every block into the computed columns.
 Output is one CSV per curve with a fixed column set, printed with 9
 significant digits and line-feed endings so repeated runs are
-byte-identical.
+byte-identical.  A CSV is formatted and written in chunks of rows into a
+temporary file, which is renamed onto it only once complete.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import _tau_blocks
-from .model import ModelParams, _abs_sq, _levels, build_initial_state
+from .model import (ModelParams, _abs_sq, _initial_arrays, _poisson_weights,
+                    _split_levels, build_initial_state)
 from .observables import _columns, _work_arrays
 from .revival import poisson_sum_inversion
 
@@ -48,6 +52,12 @@ COLUMNS = (
 # mapping whose pages fault in on every block (2^14 entries fault about
 # four times as many pages on fig4b).
 _BLOCK_ENTRIES = 7680
+
+# Rows formatted and written at a time.  A row prints at most 11 cells of
+# 17 bytes ("-1.23456789e-100,"), so a chunk's bytes (at most 47 KiB), its
+# format template, its tuple of values and its stacked table each stay
+# below glibc's 128 KiB mmap threshold, as a block's temporaries do.
+_CSV_ROWS = 256
 
 # Relative slack on the point count of a grid, so that a stop that is a
 # whole number of steps away survives the round-off of the division.
@@ -106,12 +116,25 @@ class TimeSeries:
 
 
 def _lambda_blocks(params: ModelParams, grid: np.ndarray, rows: int):
-    """Yield (block, levels, c_sq) of the validated initial states at every
-    block of ``rows`` lambdas, in order."""
+    """Yield (block, levels, c_sq) of the initial states at every block of
+    ``rows`` lambdas, in order, written into arrays held for the curve, so
+    each block is overwritten by the next.
+
+    The Poisson weights are taken once, and no block is validated: the
+    caller validates the grid's ends, which covers every interior point
+    (see ``_run_curve``).
+    """
+    pn = _poisson_weights(params.mean_photons, params.n_max)[0]
+    levels = np.empty((rows, 2 * params.n_max + 2))
+    c = np.empty((rows, params.n_max), dtype=complex)
+    c_sq = np.empty((rows, params.n_max))
     for lo in range(0, grid.size, rows):
-        block = slice(lo, lo + rows)
-        state = build_initial_state(params, grid[block])
-        yield block, _levels(state), _abs_sq(state.c)
+        lam = grid[lo:lo + rows]
+        size = lam.size
+        _initial_arrays(params, lam, pn,
+                        out=(*_split_levels(levels[:size]), c[:size]))
+        yield (slice(lo, lo + size), levels[:size],
+               _abs_sq(c[:size], out=c_sq[:size]))
 
 
 def _run_curve(scenario: Scenario, curve: Curve,
@@ -120,14 +143,18 @@ def _run_curve(scenario: Scenario, curve: Curve,
 
     The sweeps differ only in the batched state at a block of grid points:
     the initial state propagated to each tau (``_tau_blocks``), or the
-    validated initial state at each lambda (where tau = 0).  Every block's
-    columns come from ``observables._columns``, whose large temporaries
-    live in work arrays held for the whole curve.
+    initial state at each lambda (where tau = 0, ``_lambda_blocks``).
+    Every block's columns come from ``observables._columns``, whose large
+    temporaries live in work arrays held for the whole curve.
     """
     params = curve.params
     lam = None if scenario.sweep == "tau" else grid
-    # Every lambda block validates its weights; the ends of the grid go
-    # first, so a grid that leaves [0, 1] fails before any column exists.
+    # A lambda sweep validates the ends of its grid, before any column
+    # exists, and that covers every interior weight: the initial state is
+    # affine in lambda, so each block's smallest eigenvalue is concave in
+    # it and takes its minimum over an interval at an end; the range, the
+    # frequencies and the Poisson tail do not depend on lambda, and the
+    # grid is monotone and never passes its stop.
     initial = build_initial_state(params,
                                   None if lam is None else grid[[0, -1]])
     rows = min(grid.size, max(1, _BLOCK_ENTRIES // (params.n_max + 1)))
@@ -135,10 +162,9 @@ def _run_curve(scenario: Scenario, curve: Curve,
         tau, blocks = grid, _tau_blocks(initial, params, grid, rows)
     else:
         tau, blocks = 0.0, _lambda_blocks(params, grid, rows)
-    # Work arrays held for the curve spare a tau block, which makes no
-    # other large temporary, the page faults of a heap that glibc trims
-    # after every block.  A lambda block builds its state afresh above
-    # them, so the heap is still trimmed after every lambda block.
+    # Work arrays held for the curve, like the arrays that each block is
+    # written into, spare a block the page faults of a heap that glibc
+    # trims after every block.
     work = _work_arrays(rows, params.n_max)
     cols = {name: np.empty(grid.size) for name in COLUMNS[:-1]}
     for block, levels, c_sq in blocks:
@@ -153,13 +179,77 @@ def _run_curve(scenario: Scenario, curve: Curve,
     return TimeSeries(scenario.name, curve.label, scenario.sweep, grid, cols)
 
 
-def run_scenario(scenario: Scenario) -> list:
-    """Evaluate every curve of a scenario; returns one TimeSeries per curve,
-    in the scenario's curve order."""
+def _series(scenario: Scenario):
+    """Yield each curve of a scenario as a TimeSeries as soon as it is
+    computed, in the scenario's curve order."""
     if scenario.sweep not in ("tau", "lambda"):
         raise ValueError(f"unknown sweep kind {scenario.sweep!r}")
     grid = scenario.grid()
-    return [_run_curve(scenario, curve, grid) for curve in scenario.curves]
+    for curve in scenario.curves:
+        yield _run_curve(scenario, curve, grid)
+
+
+def run_scenario(scenario: Scenario) -> list:
+    """Evaluate every curve of a scenario; returns one TimeSeries per curve,
+    in the scenario's curve order."""
+    return list(_series(scenario))
+
+
+def _open_temporary(path):
+    """(name, file) of a new file beside ``path``, opened for binary
+    writing with the default mode: ``<path>.<pid>.tmp``, or the first free
+    ``<path>.<pid>.<k>.tmp`` when a killed run left that name behind."""
+    base = f"{os.fspath(path)}.{os.getpid()}"
+    for k in itertools.count():
+        tmp = f"{base}.{k}.tmp" if k else f"{base}.tmp"
+        try:
+            # "xb" never overwrites another file.
+            return tmp, open(tmp, "xb")
+        except FileExistsError:
+            continue
+
+
+def _write_temporary(series: TimeSeries, path) -> str:
+    """Write one curve as CSV into a new temporary file beside ``path`` and
+    return its name; a failed write removes it.
+
+    The header goes first, then the rows, formatted _CSV_ROWS at a time, so
+    the memory held beyond the columns does not grow with the grid."""
+    header = ",".join((series.axis_name,) + COLUMNS)
+    columns = [series.axis] + [series.columns[name] for name in COLUMNS]
+    # b"%.9g" formats a float exactly as f"{value:.9g}" does, in ASCII.
+    row = b",".join([b"%.9g"] * len(columns)) + b"\n"
+    full = row * _CSV_ROWS
+    tmp, fh = _open_temporary(path)
+    try:
+        with fh:
+            fh.write(header.encode("ascii") + b"\n")
+            for lo in range(0, series.axis.size, _CSV_ROWS):
+                chunk = np.column_stack([col[lo:lo + _CSV_ROWS]
+                                         for col in columns])
+                rows = full if len(chunk) == _CSV_ROWS else row * len(chunk)
+                fh.write(rows % tuple(chunk.ravel().tolist()))
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return tmp
+
+
+@contextlib.contextmanager
+def _staged():
+    """A list for the (temporary, path) pairs of written CSVs.  When the
+    block ends normally each temporary is renamed onto its path, in order;
+    when it fails, or a rename fails, the temporaries not yet renamed are
+    removed, so a call that fails before its renames replaces no CSV."""
+    staged = []
+    try:
+        yield staged
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
+            os.remove(tmp)
 
 
 def emit_csv(series: TimeSeries, path) -> None:
@@ -168,22 +258,8 @@ def emit_csv(series: TimeSeries, path) -> None:
     The rows go to a new file beside ``path``, renamed onto it only once
     complete, so a failed or interrupted write leaves any earlier CSV
     whole."""
-    header = ",".join((series.axis_name,) + COLUMNS)
-    table = np.column_stack([series.axis]
-                            + [series.columns[name] for name in COLUMNS])
-    # b"%.9g" formats a float exactly as f"{value:.9g}" does, in ASCII.
-    row = b",".join([b"%.9g"] * table.shape[1]) + b"\n"
-    # "xb" gives the file the default mode and never overwrites another.
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(header.encode("ascii") + b"\n")
-            fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    with _staged() as staged:
+        staged.append((_write_temporary(series, path), path))
 
 
 # --- scenario catalog --------------------------------------------------------

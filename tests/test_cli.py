@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -207,6 +208,106 @@ def test_emit_csv_keeps_the_old_file_when_a_write_fails(tmp_path,
     plain.touch()
     assert path.stat().st_mode == plain.stat().st_mode
     assert sorted(tmp_path.iterdir()) == [fresh, plain, path]
+
+
+def test_emit_csv_memory_does_not_grow_with_the_grid(tmp_path):
+    """A 100,001-row curve is formatted and written in chunks, so the
+    memory emit_csv allocates stays under 1 MiB (the columns alone take
+    8.8 MB; formatting the whole table at once peaked at 63 MiB)."""
+    rows = 100_001
+    rng = np.random.default_rng(0)
+    series = TimeSeries("t", "long", "tau", np.arange(rows) * 0.05,
+                        {name: rng.standard_normal(rows) for name in COLUMNS})
+    tracemalloc.start()
+    try:
+        emit_csv(series, tmp_path / "long.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (tmp_path / "long.csv").read_bytes().count(b"\n") == 1 + rows
+
+
+@pytest.mark.parametrize("rows", [phasedjcm.runner._CSV_ROWS - 1,
+                                  phasedjcm.runner._CSV_ROWS,
+                                  phasedjcm.runner._CSV_ROWS + 1])
+def test_emit_csv_bytes_at_chunk_boundaries(tmp_path, rows):
+    """Grids one row short of a chunk, of one chunk and one row over it
+    print exactly what one pass of format(value, ".9g") over the table
+    prints."""
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal((11, rows)) * 10.0 ** rng.integers(
+        -300, 300, (11, rows))
+    values[:, :4] = [math.nan, math.inf, -0.0, 5e-324]
+    series = TimeSeries("t", "chunks", "tau", values[0],
+                        dict(zip(COLUMNS, values[1:])))
+    path = tmp_path / "chunks.csv"
+    emit_csv(series, path)
+    want = EXPECTED_HEADER + "\n" + "".join(
+        ",".join(format(value, ".9g") for value in row) + "\n"
+        for row in values.T)
+    assert path.read_bytes() == want.encode("ascii")
+
+
+@pytest.mark.parametrize("error", [ValueError("curve failed"),
+                                   KeyboardInterrupt()])
+def test_call_whose_last_curve_fails_replaces_no_csv(tmp_path, monkeypatch,
+                                                     capsys, error):
+    """Each curve of a call is written to a temporary file in --out as
+    soon as it is computed, but none is renamed onto its CSV until the
+    last has succeeded: when the last curve fails, every earlier CSV keeps
+    its bytes and no temporary file is left."""
+    out = tmp_path / "out"
+    out.mkdir()
+    labels = [curve.label for curve in CATALOG["fig5b"].curves]
+    for label in labels:
+        (out / f"fig5b__{label}.csv").write_bytes(b"old\n")
+    run_curve = phasedjcm.runner._run_curve
+    staged = []
+
+    def fail_last(scenario, curve, grid):
+        if curve.label == labels[-1]:
+            staged.extend(p.name for p in out.glob("*.tmp"))
+            raise error
+        return run_curve(scenario, curve, grid)
+
+    monkeypatch.setattr(phasedjcm.runner, "_run_curve", fail_last)
+    argv = ["scenario", "fig5b", "--tau-max", "1", "--tau-step", "0.5",
+            "--out", str(out)]
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: curve failed\n"
+    assert len(staged) == len(labels) - 1
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"fig5b__{label}.csv" for label in labels)
+    assert all(p.read_bytes() == b"old\n" for p in out.iterdir())
+    assert capsys.readouterr().out == ""
+
+
+def test_stale_temporaries_do_not_block_a_csv(tmp_path, capsys):
+    """Temporary files that a killed run of a process with the same pid
+    left behind are passed over and left as they are; the CSV is still
+    written, whole, with the mode of a plain new file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "evolve__custom.csv"
+    stale = [Path(f"{path}.{os.getpid()}.tmp"),
+             Path(f"{path}.{os.getpid()}.1.tmp")]
+    for tmp in stale:
+        tmp.write_bytes(b"killed mid-write")
+    argv = ["evolve", "--mean-photons", "2", "--n-max", "30", "--tau-max",
+            "0.5", "--tau-step", "0.25", "--out"]
+    assert main([*argv, str(out)]) == 0
+    assert main([*argv, str(tmp_path / "fresh")]) == 0
+    assert path.read_bytes() == (tmp_path / "fresh" / path.name).read_bytes()
+    assert sorted(out.iterdir()) == sorted([path, *stale])
+    assert all(tmp.read_bytes() == b"killed mid-write" for tmp in stale)
+    plain = tmp_path / "plain"
+    plain.touch()
+    assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_scenario_command_writes_expected_files(tmp_path, capsys):

@@ -41,7 +41,7 @@ from phasedjcm import (
 from phasedjcm import runner
 from phasedjcm.cli import main
 from phasedjcm.evolution import _tau_blocks
-from phasedjcm.model import _abs_sq, _levels
+from phasedjcm.model import _abs_sq, _levels, _spectrum
 from phasedjcm.observables import _columns, _work_arrays
 from phasedjcm.runner import _BLOCK_ENTRIES
 
@@ -124,6 +124,45 @@ def test_araki_lieb_and_subadditivity(params, taus):
     rep = entropy_report(states)
     assert np.all(np.abs(rep.s_atom - rep.s_rad) <= rep.s_joint + 1e-10)
     assert np.all(rep.s_joint <= rep.s_atom + rep.s_rad + 1e-10)
+
+
+# Round-off allowed on s_joint, in nats.  Over about 300 random valid sets
+# up to N = 2e3 the largest undamped drift and damped one-step decrease
+# measured 1.8e-15, and over 3000 more up to N = 1e5, 2.7e-15: about one
+# ulp of an entropy between 8 and 16 (s_joint stays below ln(2 n_max + 2),
+# 12.2 at N = 1e5).  The allowance is 8 ulps of 16.
+ENTROPY_ROUND_OFF = 8 * np.spacing(16.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(valid_params(mean_photons=st.builds(lambda m, k: m * 10.0**k,
+                                           st.floats(1.0, 10.0),
+                                           st.integers(-1, 4))),
+       st.floats(1e-3, 0.2), times.map(sorted))
+def test_entropy_arrow_and_conserved_pair_sums(params, gamma_bar, taus):
+    """Phase damping is a unital channel, so s_joint never decreases along
+    a curve; undamped, every 2x2 block turns unitarily and keeps its
+    spectrum, so s_joint stays constant.  Either way each pair's sum
+    a[n] + b[n+1] is a constant of the motion, to within 2 ulps (the
+    moved levels and the sum are each rounded once; 1 ulp was the largest
+    measured), and the unpaired b[0] and a[n_max] are kept exactly.  Each
+    drawn set runs damped and undamped, with N drawn from every decade
+    between 0.1 and 1e5."""
+    for case in (replace(params, gamma_bar=gamma_bar),
+                 replace(params, gamma_bar=0.0)):
+        initial = build_initial_state(case)
+        states = propagate(initial, case, np.array(taus))
+        s_joint = np.append(entropy_report(initial).s_joint,
+                            entropy_report(states).s_joint)
+        if case.gamma_bar == 0:
+            assert np.all(np.abs(s_joint - s_joint[0]) <= ENTROPY_ROUND_OFF)
+        else:
+            assert np.all(np.diff(s_joint) >= -ENTROPY_ROUND_OFF)
+        start = initial.a[:-1] + initial.b[1:]
+        drift = states.a[:, :-1] + states.b[:, 1:] - start
+        assert np.all(np.abs(drift) <= 2 * np.spacing(start))
+        assert np.all(states.b[:, 0] == initial.b[0])
+        assert np.all(states.a[:, -1] == initial.a[-1])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -226,6 +265,31 @@ def test_lambda_sweep_of_many_blocks_matches_the_public_layers(monkeypatch):
     want["clb"] = concurrence_lower_bound(state)
     for name in COLUMNS[:-1]:
         np.testing.assert_array_equal(series.columns[name], want[name], name)
+
+
+@PROPERTY_SETTINGS
+@given(valid_params(), unit, unit)
+def test_smallest_block_eigenvalue_is_concave_in_lambda(params, x, y):
+    """The initial state is affine in lambda, so on 65 weights spanning
+    [l0, l1] the smaller eigenvalue of each block, and so the smallest of
+    the state, is never below the smaller of its values at l0 and l1.  This
+    is why a lambda sweep validates only the ends of its grid.  Allowed
+    round-off: 2 ulps of the block's largest trace.  Blocks whose trace
+    falls below 1e-150 are left out: there the squares (a - b)^2 and |c|^2
+    of the eigenvalue formula underflow, and the computed eigenvalue is off
+    by about the trace itself."""
+    lam = np.linspace(min(x, y), max(x, y), 65)
+    state = build_initial_state(params, lam)
+    lower = _spectrum(state.a, state.b,
+                      _abs_sq(state.c))[:, params.n_max + 2:]
+    trace = state.a[:, :-1] + state.b[:, 1:]
+    kept = trace.min(axis=0) > 1e-150
+    ends = np.minimum(lower[0], lower[-1])
+    allowed = 2 * np.spacing(trace.max(axis=0))
+    assert np.all((lower >= ends - allowed)[:, kept])
+    smallest = state.min_eigenvalue()
+    assert np.all(smallest >= min(smallest[0], smallest[-1])
+                  - np.spacing(1.0))
 
 
 @PROPERTY_SETTINGS
