@@ -6,7 +6,8 @@ turn into each other at the reduced pair frequency
 E(n) = sqrt(4 kappa_bar^2 (n+1) - (gamma_bar/2)^2) and the pair sum a + b is
 kept.  This exact solution of the master equation inside one pair is written
 in real arithmetic and applied to every pair at once, so arbitrary times are
-reached in a single call with no stepping error.
+reached in a single call with no stepping error.  ``propagate`` and the first
+block of ``_tau_blocks`` take this step through one function, ``_step_pairs``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _step_factors(params: ModelParams, rates, tau):
     tau = tau[..., None]
     e, root = rates
     # An overflowed phase gives a nan sine; the largest is max(tau) max(E).
-    if not math.isfinite(float(tau.max()) * float(e.max())):
+    if not math.isfinite(float(np.max(tau, initial=0.0)) * float(e.max())):
         raise ValueError("phase E tau is not finite: tau is nan or too large "
                          "for the pair frequencies")
     # W+- = cos(E tau) +- (gamma_bar / 2) V with V = sin(E tau) / E.
@@ -77,9 +78,16 @@ def _move_pairs(factors, a0, b0, diff, im0, drive, a, b, im,
     im += np.multiply(m_diff, diff, out=flow)
 
 
-def _drive(rates, im0):
-    """2 kappa_bar sqrt(n + 1) Im c[n], the coherence's push on pair n."""
-    return 2.0 * rates[1] * im0
+def _step_pairs(factors, state: BlockState, rates, a, b, re, im,
+                flow=None) -> None:
+    """Write one exact step of the pairs of ``state`` by ``factors`` (from
+    ``_step_factors``) into a[n], b[n+1], Re c[n] and Im c[n], passed as
+    ``a``, ``b``, ``re`` and ``im``; ``flow`` is as for ``_move_pairs``.
+    The unpaired levels are left to the caller."""
+    a0, b0, im0 = state.a[..., :-1], state.b[..., 1:], state.c.imag
+    _move_pairs(factors, a0, b0, a0 - b0, im0, 2.0 * rates[1] * im0, a, b,
+                im, flow)
+    np.multiply(factors[-1], state.c.real, out=re)
 
 
 def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
@@ -96,16 +104,14 @@ def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     """
     rates = _pair_rates(params, state.n_max)
     factors = _step_factors(params, rates, tau)
-    a0, b0, im0 = state.a[..., :-1], state.b[..., 1:], state.c.imag
-    shape = np.broadcast_shapes(factors[0].shape, a0.shape)
+    shape = np.broadcast_shapes(factors[0].shape, state.c.shape)
     a = np.empty(shape[:-1] + (state.n_max + 1,))
     b = np.empty_like(a)
     c = np.empty(shape, dtype=complex)
-    _move_pairs(factors, a0, b0, a0 - b0, im0, _drive(rates, im0),
-                a[..., :-1], b[..., 1:], c.imag)
+    _step_pairs(factors, state, rates, a[..., :-1], b[..., 1:], c.real,
+                c.imag)
     a[..., -1] = state.a[..., -1]
     b[..., 0] = state.b[..., 0]
-    c.real = factors[-1] * state.c.real
     return BlockState(a=a, b=b, c=c)
 
 
@@ -116,14 +122,15 @@ def _tau_blocks(state: BlockState, params: ModelParams, grid, rows: int):
 
     Every block is one exact step of ``_move_pairs``, written into the
     arrays yielded for the first block, so each block is overwritten by
-    the next.  The first block steps the single ``state`` to its times;
-    every later block starting at grid[lo] moves the first block's rows on
-    by the one scalar time grid[lo] - grid[0] (a short last block takes
-    the first rows).  Each equals propagate of what it moves bit for bit,
-    so every sample is reached in at most two exact steps.  The unpaired
-    levels are constants of the motion, so no step writes them.  The step
-    factors of as many shifts as a block has rows are computed together
-    when the walk reaches them, so a table is never larger than the block.
+    the next.  The first block steps the single ``state`` to its times
+    through ``_step_pairs``, as ``propagate`` does; every later block
+    starting at grid[lo] moves the first block's rows on by the one scalar
+    time grid[lo] - grid[0] (a short last block takes the first rows).
+    Each equals propagate of what it moves bit for bit, so every sample is
+    reached in at most two exact steps.  The unpaired levels are constants
+    of the motion, so no step writes them.  The step factors of as many
+    shifts as a block has rows are computed together when the walk reaches
+    them, so a table is never larger than the block.
     Raises ValueError when a phase E tau is not finite.
     """
     rows = min(rows, grid.size)
@@ -135,20 +142,17 @@ def _tau_blocks(state: BlockState, params: ModelParams, grid, rows: int):
                                 for _ in range(5))
     a, b = _split_levels(levels)
     factors = _step_factors(params, rates, grid[:rows])
-    pairs = state.a[:-1], state.b[1:]
-    _move_pairs(factors, *pairs, np.subtract(*pairs), state.c.imag,
-                _drive(rates, state.c.imag), a[:, :-1], b[:, 1:], im0, flow)
+    _step_pairs(factors, state, rates, a[:, :-1], b[:, 1:], re0, im0, flow)
     a[:, -1], b[:, 0] = state.a[-1], state.b[0]
     # Contiguous copies of the first block's pairs, which the later moves
     # read faster than views of the levels they overwrite.
     a0, b0 = a[:, :-1].copy(), b[:, 1:].copy()
-    # |c|^2 = Re c * Re c + Im c * Im c with Re c = decay Re c0, the
-    # products propagate's output gives, so every block matches it.
-    np.multiply(factors[-1], state.c.real, out=re0)
+    # |c|^2 = Re c * Re c + Im c * Im c, the products propagate's output
+    # gives, so every block matches it.
     np.multiply(re0, re0, out=c_sq)
     c_sq += np.multiply(im0, im0, out=flow)
     yield slice(0, rows), levels, c_sq
-    diff, drive = a0 - b0, _drive(rates, im0)
+    diff, drive = a0 - b0, 2.0 * rates[1] * im0
     work = (levels, c_sq, im, flow)
     for start in range(rows, grid.size, rows * rows):
         table = _step_factors(params, rates,

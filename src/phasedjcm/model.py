@@ -424,7 +424,7 @@ def build_initial_state(params: ModelParams, lam=None) -> BlockState:
                              f"{TAIL_TOL:.1e}; raise n_max")
 
     state = BlockState(*_initial_arrays(params, lam, pn))
-    lowest = float(np.min(state.min_eigenvalue()))
+    lowest = float(np.min(state.min_eigenvalue(), initial=0.0))
     if lowest < -1e-12:
         raise ParameterError("initial state is not positive semidefinite "
                              f"(min block eigenvalue {lowest:.3e})")

@@ -13,12 +13,14 @@ the per-projection concurrences with their trace weights gives a lower bound
 on the atom-field entanglement of the full state.
 
 One column kernel, ``_columns``, computes every functional of a block of
-states from one photon distribution.  The public functions call its helpers
-``_entropies`` and ``_clb`` directly, so each computes only its own.
+states from one photon distribution.  The public functions read their
+fields from it, a single state being a block of one row, so each formula
+is written once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,39 +93,9 @@ class EntropyReport:
 def entropy_report(state: BlockState) -> EntropyReport:
     """Compute every entropy functional of one state, or of each row of a
     batched state."""
-    fields = _entropies(_levels(state), _abs_sq(state.c))
-    return EntropyReport(**{name: _per_row(value)
-                            for name, value in fields.items()})
-
-
-def _entropies(levels, c_sq, photon=None, work=(None, None)) -> dict:
-    """The fields of ``EntropyReport``, as arrays, of the states whose
-    populations a and b are the two halves of ``levels`` along the last
-    axis, with squared coherences c_sq.  ``photon`` is their photon
-    distribution a + b when known, and ``work`` an optional pair of arrays
-    of levels' shape for the spectrum and the entropy terms.
-    """
-    a, b = _split_levels(levels)
-    if photon is None:
-        photon = a + b
-    spectrum, terms = work
-    # The atom's weights (w1, w2) = (sum a, sum b) along the last axis.
-    atom = levels.reshape(levels.shape[:-1] + (2, -1)).sum(axis=-1)
-    s_atom = _entropy(atom)
-    s_rad = _entropy(photon)
-    s_joint = _entropy(_spectrum(a, b, c_sq, out=spectrum), terms)
-    s_dec = _entropy(levels, terms)
-    return dict(
-        s_atom=s_atom,
-        s_rad=s_rad,
-        s_joint=s_joint,
-        s_decohered=s_dec,
-        deficit=s_dec - s_joint,
-        rel_atom=s_joint - s_atom,
-        rel_rad=s_joint - s_rad,
-        mutual=s_atom + s_rad - s_joint,
-        inversion=atom[..., 0] - atom[..., 1],
-    )
+    fields = _state_columns(state)
+    del fields["clb"]
+    return EntropyReport(**fields)
 
 
 def concurrence_lower_bound(state: BlockState):
@@ -138,41 +110,20 @@ def concurrence_lower_bound(state: BlockState):
     Runs over n = 0..n_max-1; projections below the weight floor are
     skipped.  Returns a float, or one value per row of a batched state.
     """
-    return _per_row(_clb(_levels(state), _abs_sq(state.c)))
+    return _state_columns(state)["clb"]
 
 
-def _clb(levels, c_sq, photon=None, work=(None, None, None)) -> np.ndarray:
-    """The concurrence lower bound of the states whose populations a and b
-    are the two halves of ``levels`` along the last axis, with squared
-    coherences c_sq, as an array.  ``photon`` is their photon distribution
-    a + b when known, and ``work`` an optional triple of arrays of c_sq's
-    shape."""
-    if levels.size and levels.min() < 0.0:
-        # Clip tiny negative populations left by round-off before the
-        # square roots.
-        levels, photon = np.maximum(levels, 0.0), None
-    a, b = _split_levels(levels)
-    if photon is None:
-        photon = a + b
-    # t = p(n) + p(n+1).  A kept projection adds t times its concurrence,
-    # 2 (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to [0, t]; a skipped one
-    # adds 0 to both sums.  The square root is monotone, so
-    # min(|z|, sqrt(w x)) = sqrt(min(|z|^2, w x)).
-    t = np.add(photon[..., :-1], photon[..., 1:], out=work[0])
-    weighted = np.multiply(a[..., :-1], b[..., 1:], out=work[1])
-    np.minimum(c_sq, weighted, out=weighted)
-    np.sqrt(weighted, out=weighted)
-    root = np.multiply(b[..., :-1], a[..., 1:], out=work[2])
-    weighted -= np.sqrt(root, out=root)
-    weighted *= 2.0
-    np.maximum(weighted, 0.0, out=weighted)
-    np.minimum(weighted, t, out=weighted)
-    skip = ~(t >= _WEIGHT_FLOOR)
-    np.copyto(t, 0.0, where=skip)
-    np.copyto(weighted, 0.0, where=skip)
-    total = t.sum(axis=-1)
-    return np.divide(weighted.sum(axis=-1), total,
-                     out=np.zeros_like(total), where=total > 0.0)
+def _state_columns(state: BlockState) -> dict:
+    """Every column of ``_columns`` of one state, as a float per field, or
+    of each row of a batched state, as one array per field (of shape (0,)
+    for an empty batch)."""
+    batch = state.a.shape[:-1]
+    rows = math.prod(batch)
+    fields = _columns(_levels(state).reshape(rows, 2 * state.n_max + 2),
+                      _abs_sq(state.c).reshape(rows, state.n_max),
+                      _work_arrays(rows, state.n_max))
+    return {name: _per_row(value.reshape(batch))
+            for name, value in fields.items()}
 
 
 def _work_arrays(rows: int, n_max: int) -> tuple:
@@ -189,11 +140,54 @@ def _columns(levels, c_sq, work) -> dict:
     as arrays, of a block of states whose populations a and b are the two
     halves of ``levels`` along the last axis, with squared coherences c_sq.
 
-    The entropies and the bound share the photon distribution, computed
-    once.  The large temporaries live in ``work`` (from ``_work_arrays``),
-    reused block after block."""
-    photon, *work = (arr[:levels.shape[0]] for arr in work)
-    photon = np.add(*_split_levels(levels), out=photon)
-    fields = _entropies(levels, c_sq, photon, work[:2])
-    fields["clb"] = _clb(levels, c_sq, photon, work[2:])
+    The entropies and the bound share the photon distribution a + b,
+    computed once.  The large temporaries live in ``work`` (from
+    ``_work_arrays``), reused block after block."""
+    photon, spectrum, terms, t, weighted, root = (
+        arr[:levels.shape[0]] for arr in work)
+    a, b = _split_levels(levels)
+    photon = np.add(a, b, out=photon)
+    # The atom's weights (w1, w2) = (sum a, sum b) along the last axis.
+    atom = levels.reshape(levels.shape[:-1]
+                          + (2, levels.shape[-1] // 2)).sum(axis=-1)
+    s_atom = _entropy(atom)
+    s_rad = _entropy(photon)
+    s_joint = _entropy(_spectrum(a, b, c_sq, out=spectrum), terms)
+    s_dec = _entropy(levels, terms)
+    fields = dict(
+        s_atom=s_atom,
+        s_rad=s_rad,
+        s_joint=s_joint,
+        s_decohered=s_dec,
+        deficit=s_dec - s_joint,
+        rel_atom=s_joint - s_atom,
+        rel_rad=s_joint - s_rad,
+        mutual=s_atom + s_rad - s_joint,
+        inversion=atom[..., 0] - atom[..., 1],
+    )
+    if np.min(levels, initial=0.0) < 0.0:
+        # Clip tiny negative populations left by round-off before the
+        # bound's square roots.
+        levels = np.maximum(levels, 0.0)
+        a, b = _split_levels(levels)
+        photon = np.add(a, b, out=photon)
+    # t = p(n) + p(n+1).  A kept projection adds t times its concurrence,
+    # 2 (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to [0, t]; a skipped one
+    # adds 0 to both sums.  The square root is monotone, so
+    # min(|z|, sqrt(w x)) = sqrt(min(|z|^2, w x)).
+    t = np.add(photon[..., :-1], photon[..., 1:], out=t)
+    weighted = np.multiply(a[..., :-1], b[..., 1:], out=weighted)
+    np.minimum(c_sq, weighted, out=weighted)
+    np.sqrt(weighted, out=weighted)
+    root = np.multiply(b[..., :-1], a[..., 1:], out=root)
+    weighted -= np.sqrt(root, out=root)
+    weighted *= 2.0
+    np.maximum(weighted, 0.0, out=weighted)
+    np.minimum(weighted, t, out=weighted)
+    skip = ~(t >= _WEIGHT_FLOOR)
+    np.copyto(t, 0.0, where=skip)
+    np.copyto(weighted, 0.0, where=skip)
+    total = t.sum(axis=-1)
+    fields["clb"] = np.divide(weighted.sum(axis=-1), total,
+                              out=np.zeros_like(total), where=total > 0.0)
     return fields

@@ -799,3 +799,37 @@ def test_package_modules_use_every_import():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_package_private_names_are_all_used():
+    """Every module-level private function, class and constant of a package
+    module is referenced somewhere in the package outside its own
+    definition: a load of the name, an attribute of that name or an import
+    of it counts."""
+    defined, used = {}, set()
+    for path in sorted(Path(phasedjcm.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            else:
+                names = {child.id for child in ast.walk(node)
+                         if isinstance(child, ast.Name)
+                         and isinstance(child.ctx, ast.Store)}
+            names = {name for name in names
+                     if name.startswith("_") and not name.startswith("__")}
+            defined.update((name, f"{path.name}:{node.lineno}")
+                           for name in names)
+            for child in ast.walk(node):
+                if isinstance(child, ast.Name) and isinstance(child.ctx,
+                                                             ast.Load):
+                    ref = child.id
+                elif isinstance(child, ast.Attribute):
+                    ref = child.attr
+                elif isinstance(child, ast.alias):
+                    ref = child.name
+                else:
+                    continue
+                if ref not in names:
+                    used.add(ref)
+    assert sorted(f"{where}: {name}" for name, where in defined.items()
+                  if name not in used) == []

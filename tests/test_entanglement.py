@@ -12,7 +12,7 @@ from phasedjcm import (
     concurrence_lower_bound,
     propagate,
 )
-from phasedjcm.observables import _clb
+from phasedjcm.observables import _columns, _work_arrays
 
 
 def make_params(**overrides):
@@ -151,8 +151,9 @@ def test_clb_stays_in_unit_interval_along_evolution():
 
 
 def masked_clb(levels, c_sq):
-    """The masked reference for _clb: projections below the 1e-14 weight
-    floor add nothing, and a row of weightless projections reads 0."""
+    """The masked reference for the kernel's bound: projections below the
+    1e-14 weight floor add nothing, and a row of weightless projections
+    reads 0."""
     if levels.size and levels.min() < 0.0:
         levels = np.maximum(levels, 0.0)
     half = levels.shape[-1] // 2
@@ -209,9 +210,10 @@ def test_clb_matches_the_masked_reference(case):
     assert (bool((photon[:, :-1] + photon[:, 1:]).min() >= 1e-14)
             == all_weighted)
     want = masked_clb(levels, c_sq)
-    np.testing.assert_array_equal(_clb(levels, c_sq), want)
-    work = tuple(np.empty(c_sq.shape) for _ in range(3))
-    np.testing.assert_array_equal(_clb(levels.copy(), c_sq, None, work),
-                                  want)
+    work = _work_arrays(*c_sq.shape)
+    np.testing.assert_array_equal(_columns(levels, c_sq, work)["clb"], want)
+    # Again through the same, now written, work arrays.
+    np.testing.assert_array_equal(
+        _columns(levels.copy(), c_sq, work)["clb"], want)
     if case == "weightless_row":
         assert want[-1] == 0.0

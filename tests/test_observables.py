@@ -1,6 +1,7 @@
 """Marginals, inversion, and the entropy functionals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from phasedjcm import (
     ModelParams,
     asymptotic_state,
     build_initial_state,
+    concurrence_lower_bound,
     entropy_report,
     poisson_pmf,
     propagate,
 )
-from phasedjcm.observables import _entropy, shannon_entropy
+from phasedjcm.model import _abs_sq, _levels
+from phasedjcm.observables import (_columns, _entropy, _work_arrays,
+                                   shannon_entropy)
 
 
 def make_params(**overrides):
@@ -191,3 +195,34 @@ def test_asymptotic_state_has_zero_deficit():
     lim = asymptotic_state(build_initial_state(params), params)
     rep = entropy_report(lim)
     assert abs(rep.deficit) < 1e-12
+
+
+def test_public_functions_read_the_column_kernel_for_any_batch():
+    """entropy_report and concurrence_lower_bound of an unbatched, a
+    batched and an empty state give a float per field, an array per field
+    and arrays of shape (0,), each equal bit for bit to the matching rows
+    of the column kernel.  The empty states that build_initial_state and
+    propagate give for an empty grid go through both without a warning."""
+    params = make_params(gamma_bar=0.05, lam=0.6)
+    initial = build_initial_state(params)
+    cases = (
+        (initial, None),
+        (propagate(initial, params, np.linspace(0.0, 7.0, 5)), (5,)),
+        (build_initial_state(params, []), (0,)),
+        (propagate(initial, params, []), (0,)),
+    )
+    for state, shape in cases:
+        levels = np.atleast_2d(_levels(state))
+        want = _columns(levels, np.atleast_2d(_abs_sq(state.c)),
+                        _work_arrays(levels.shape[0], params.n_max))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vars(entropy_report(state))
+            got["clb"] = concurrence_lower_bound(state)
+        assert got.keys() == want.keys()
+        for name, value in got.items():
+            if shape is None:
+                assert type(value) is float, name
+            else:
+                assert value.shape == shape, name
+            assert np.asarray(value).tobytes() == want[name].tobytes(), name

@@ -318,8 +318,8 @@ def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
     """The column kernel on the first two blocks of a tau curve (a
     first block and a short later block moved on in place by a shift up to
     60) and on a lambda-sweep block, against entropy_report and
-    concurrence_lower_bound of the same states.  Both compute through the
-    same helpers, so they agree bit for bit, well inside 1e-13.  A Bell
+    concurrence_lower_bound of the same states.  The public functions read
+    their fields from the kernel, so they agree bit for bit.  A Bell
     start gets b[0] = -1e-18, a population left negative by round-off (b[0]
     is a constant of the motion), so the bound's clip runs on every
     block."""
