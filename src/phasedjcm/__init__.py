@@ -33,7 +33,8 @@ from .observables import (
     entropy_report,
 )
 from .revival import poisson_sum_inversion
-from .runner import CATALOG, COLUMNS, Curve, Scenario, TimeSeries, emit_csv, run_scenario
+from .runner import (CATALOG, COLUMNS, Curve, Scenario, TimeSeries,
+                     run_scenario, write_csvs)
 
 __version__ = "0.1.0"
 
@@ -55,7 +56,6 @@ __all__ = [
     "concurrence_lower_bound",
     "default_n_max",
     "dense_from_block",
-    "emit_csv",
     "entropy_report",
     "integrate_path",
     "params_from_mapping",
@@ -64,4 +64,5 @@ __all__ = [
     "poisson_tail",
     "propagate",
     "run_scenario",
+    "write_csvs",
 ]

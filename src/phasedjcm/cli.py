@@ -10,16 +10,15 @@ import math
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from .evolution import propagate
 from .lindblad import (
     MAX_SUBSTEPS,
-    _iter_path,
     compare_states,
     dense_from_block,
+    integrate_path,
 )
 from .model import (
     _PARAMS,
@@ -28,8 +27,7 @@ from .model import (
     build_initial_state,
     params_from_mapping,
 )
-from .runner import (CATALOG, Curve, Scenario, _series, _staged,
-                     _write_temporary)
+from .runner import CATALOG, Curve, Scenario, run_scenario, write_csvs
 
 
 def _add_param_flags(parser: argparse.ArgumentParser,
@@ -50,21 +48,9 @@ def _params_from_args(args) -> ModelParams:
 
 
 def _run_and_write(scenario: Scenario, args) -> int:
-    """Compute the scenario's curves one at a time, writing each to a
-    temporary file in --out as soon as it is computed; only once the last
-    has succeeded are they all renamed onto their CSVs."""
-    out = Path(args.out)
-    with _staged() as staged:
-        for series in _series(scenario):
-            # Made once a curve exists: a call that fails at once leaves
-            # no directory.
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"{series.scenario}__{series.label}.csv"
-            staged.append((_write_temporary(series, path), path))
-            # Free the curve's columns before the next curve is computed.
-            del series
-        paths = [path for _, path in staged]
-    for path in paths:
+    """Write the scenario's CSVs into --out, all or none, and print their
+    paths."""
+    for path in write_csvs(run_scenario(scenario), args.out):
         print(path)
     return 0
 
@@ -116,7 +102,7 @@ def _cmd_validate(args) -> int:
         return 1
     initial = build_initial_state(params)
     # Each checkpoint is compared as the path reaches it, and then dropped.
-    dense_path = _iter_path(dense_from_block(initial), params, taus)
+    dense_path = integrate_path(dense_from_block(initial), params, taus)
     worst = 0.0
     for tau, dense in zip(taus, dense_path):
         report = compare_states(dense, propagate(initial, params, tau))

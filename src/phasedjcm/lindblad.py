@@ -5,6 +5,8 @@ the package exploits: states are dense matrices over the product basis
 |n, i> -> k = 2 n + (i - 1), the generator is the textbook commutator plus
 dephasing dissipator, and the evolution is its exponential, summed as a
 truncated Taylor series on scaled substeps to double-precision round-off.
+``integrate_path`` yields the state at each requested time as the path
+reaches it, and checks its inputs at the first ``next``.
 Agreement between this oracle and the closed form in ``evolution``
 certifies both.
 
@@ -131,26 +133,21 @@ def _generator(params: ModelParams):
 
 
 def integrate_path(rho0: np.ndarray, params: ModelParams, taus):
-    """Evolve exactly, returning the state at every requested time.
+    """Evolve exactly, yielding the state at every requested time as the
+    path reaches it, so a caller need not hold them all.
 
     ``taus`` must be finite, non-negative and strictly increasing.  The path
-    is refused before any work when it would need more than MAX_SUBSTEPS
-    substeps of ||L||_1 span <= 1, ceil(||L||_1 span) per span.  Each span
-    applies exp(span L) as s substeps of the Taylor series of degree at most
-    m, the pair from the theta_m table with ||L||_1 span <= s theta_m and
-    the fewest generator applications m s (Al-Mohy and Higham, 2011).
-    ``rho0`` must be Hermitian to within 1e-12 of its largest entry and is
-    symmetrized.  Each returned matrix is re-Hermitized; the carried state
-    is not touched, so the path is a single continuous evolution.  Until the
-    first substep the symmetrized ``rho0`` itself comes back.
+    is refused when it would need more than MAX_SUBSTEPS substeps of
+    ||L||_1 span <= 1, ceil(||L||_1 span) per span; the refusals run at the
+    first ``next``, before any state.  Each span applies exp(span L) as s
+    substeps of the Taylor series of degree at most m, the pair from the
+    theta_m table with ||L||_1 span <= s theta_m and the fewest generator
+    applications m s (Al-Mohy and Higham, 2011).  ``rho0`` must be Hermitian
+    to within 1e-12 of its largest entry and is symmetrized.  Each yielded
+    matrix is re-Hermitized; the carried state is not touched, so the path
+    is a single continuous evolution.  Until the first substep the
+    symmetrized ``rho0`` itself comes back.
     """
-    return list(_iter_path(rho0, params, taus))
-
-
-def _iter_path(rho0: np.ndarray, params: ModelParams, taus):
-    """The states of ``integrate_path`` one at a time, each as the path
-    reaches it, so a caller need not hold them all; the refusals run at the
-    first ``next``, before any state."""
     times = [float(t) for t in taus]
     if not times:
         return

@@ -278,10 +278,10 @@ def _split_levels(levels):
     return levels[..., :half], levels[..., half:]
 
 
-def _pair_eigenvalues(a, b_hi, c_sq, out=(None, None)):
+def _pair_eigenvalues(a, b_hi, c_sq, out):
     """Eigenvalues (upper, lower) of the 2x2 blocks [[a, c], [c*, b_hi]]
-    with |c|^2 = c_sq, elementwise; written into the pair ``out`` of arrays
-    when it is given."""
+    with |c|^2 = c_sq, elementwise, written into the pair ``out`` of
+    arrays."""
     disc = a - b_hi
     disc *= disc
     disc *= 0.25

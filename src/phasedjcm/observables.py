@@ -63,7 +63,8 @@ def shannon_entropy(weights):
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Entropy functionals of one joint state, all in nats.
+    """Entropy functionals of one joint state, all in nats, and its
+    concurrence lower bound.
 
     For a batched state every field is an array with one value per row.
 
@@ -77,6 +78,7 @@ class EntropyReport:
                      given the field
     mutual           s_atom + s_rad - s_joint
     inversion        atomic inversion w1 - w2
+    clb              concurrence lower bound (``concurrence_lower_bound``)
     """
 
     s_atom: float
@@ -88,14 +90,13 @@ class EntropyReport:
     rel_rad: float
     mutual: float
     inversion: float
+    clb: float
 
 
 def entropy_report(state: BlockState) -> EntropyReport:
-    """Compute every entropy functional of one state, or of each row of a
-    batched state."""
-    fields = _state_columns(state)
-    del fields["clb"]
-    return EntropyReport(**fields)
+    """Compute every entropy functional and the concurrence lower bound of
+    one state, or of each row of a batched state, in one evaluation."""
+    return EntropyReport(**_state_columns(state))
 
 
 def concurrence_lower_bound(state: BlockState):

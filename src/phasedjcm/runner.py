@@ -1,4 +1,4 @@
-"""Scenario runner, CSV emitter and the scenario catalog.
+"""Scenario runner, CSV writer and the scenario catalog.
 
 Each catalog scenario bundles one figure's worth of curves; a curve is one
 parameter set swept over tau (or, for the initial state scans, over the
@@ -9,19 +9,22 @@ initial state to the first block's times and moves that block's rows on,
 by one scalar time, for every later block, while a lambda scan writes each
 block's initial states (``_lambda_blocks``).  One column kernel,
 ``observables._columns``, turns every block into the computed columns.
-Output is one CSV per curve with a fixed column set, printed with 9
+``run_scenario`` yields each curve as it is computed, and ``write_csvs``
+writes one CSV per curve with a fixed column set, printed with 9
 significant digits and line-feed endings so repeated runs are
-byte-identical.  A CSV is formatted and written in chunks of rows into a
-temporary file, which is renamed onto it only once complete.
+byte-identical.  Each CSV is formatted and written in chunks of rows into
+a temporary file as soon as its curve arrives; the temporaries are renamed
+onto their CSVs only after the last curve, so a call writes all of its
+CSVs or none.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -179,20 +182,14 @@ def _run_curve(scenario: Scenario, curve: Curve,
     return TimeSeries(scenario.name, curve.label, scenario.sweep, grid, cols)
 
 
-def _series(scenario: Scenario):
-    """Yield each curve of a scenario as a TimeSeries as soon as it is
-    computed, in the scenario's curve order."""
+def run_scenario(scenario: Scenario):
+    """Each curve of a scenario as a TimeSeries, in the scenario's curve
+    order, computed lazily as the iterator reaches it.  The sweep kind and
+    the grid are checked at the call."""
     if scenario.sweep not in ("tau", "lambda"):
         raise ValueError(f"unknown sweep kind {scenario.sweep!r}")
     grid = scenario.grid()
-    for curve in scenario.curves:
-        yield _run_curve(scenario, curve, grid)
-
-
-def run_scenario(scenario: Scenario) -> list:
-    """Evaluate every curve of a scenario; returns one TimeSeries per curve,
-    in the scenario's curve order."""
-    return list(_series(scenario))
+    return (_run_curve(scenario, curve, grid) for curve in scenario.curves)
 
 
 def _open_temporary(path):
@@ -235,31 +232,33 @@ def _write_temporary(series: TimeSeries, path) -> str:
     return tmp
 
 
-@contextlib.contextmanager
-def _staged():
-    """A list for the (temporary, path) pairs of written CSVs.  When the
-    block ends normally each temporary is renamed onto its path, in order;
-    when it fails, or a rename fails, the temporaries not yet renamed are
-    removed, so a call that fails before its renames replaces no CSV."""
+def write_csvs(curves, out) -> list:
+    """Write each TimeSeries of ``curves`` to ``<out>/<scenario>__<label>.csv``
+    and return the paths, in order.
+
+    Each curve goes to a temporary file beside its CSV as soon as it
+    arrives, and is dropped before the next is computed; ``out`` is made
+    once the first has arrived.  Only after the last are the temporaries
+    renamed onto their CSVs, in order.  On any failure, KeyboardInterrupt
+    included, the temporaries not yet renamed are removed, so a call that
+    fails before its renames replaces no CSV."""
+    out = Path(out)
     staged = []
     try:
-        yield staged
+        for series in curves:
+            out.mkdir(parents=True, exist_ok=True)
+            path = out / f"{series.scenario}__{series.label}.csv"
+            staged.append((_write_temporary(series, path), path))
+            # Free the curve's columns before the next curve is computed.
+            del series
+        paths = [path for _, path in staged]
         while staged:
             os.replace(*staged[0])
             del staged[0]
     finally:
         for tmp, _ in staged:
             os.remove(tmp)
-
-
-def emit_csv(series: TimeSeries, path) -> None:
-    """Write one curve as CSV: header plus one row per grid point.
-
-    The rows go to a new file beside ``path``, renamed onto it only once
-    complete, so a failed or interrupted write leaves any earlier CSV
-    whole."""
-    with _staged() as staged:
-        staged.append((_write_temporary(series, path), path))
+    return paths
 
 
 # --- scenario catalog --------------------------------------------------------

@@ -19,11 +19,11 @@ from phasedjcm import (
     compare_states,
     concurrence_lower_bound,
     dense_from_block,
-    emit_csv,
     entropy_report,
     integrate_path,
     propagate,
     run_scenario,
+    write_csvs,
 )
 from phasedjcm.evolution import rabi_frequency
 from phasedjcm.revival import revival_times
@@ -44,22 +44,22 @@ def base_params(**overrides):
 
 @pytest.fixture(scope="module")
 def fig3a_series():
-    return run_scenario(CATALOG["fig3a"])
+    return list(run_scenario(CATALOG["fig3a"]))
 
 
 @pytest.fixture(scope="module")
 def fig3b_series():
-    return run_scenario(CATALOG["fig3b"])
+    return list(run_scenario(CATALOG["fig3b"]))
 
 
 @pytest.fixture(scope="module")
 def fig4a_series():
-    return run_scenario(CATALOG["fig4a"])
+    return list(run_scenario(CATALOG["fig4a"]))
 
 
 @pytest.fixture(scope="module")
 def fig5b_series():
-    return run_scenario(CATALOG["fig5b"])
+    return list(run_scenario(CATALOG["fig5b"]))
 
 
 def test_01_closed_form_matches_brute_force_integrator():
@@ -73,7 +73,7 @@ def test_01_closed_form_matches_brute_force_integrator():
                                      bell_phase=phi, n_max=60)
                 initial = build_initial_state(params)
                 path = integrate_path(dense_from_block(initial), params, taus)
-                for tau, dense in zip(taus, path):
+                for tau, dense in zip(taus, path, strict=True):
                     report = compare_states(dense,
                                             propagate(initial, params, tau))
                     if report.max_abs > worst:
@@ -303,14 +303,9 @@ def test_11_catalog_output_is_deterministic(tmp_path):
     for name, scenario in CATALOG.items():
         runs = {}
         for tag in ("first", "second"):
-            out = tmp_path / tag / name
-            out.mkdir(parents=True)
-            blobs = {}
-            for series in run_scenario(scenario):
-                path = out / f"{name}__{series.label}.csv"
-                emit_csv(series, path)
-                blobs[path.name] = path.read_bytes()
-            runs[tag] = blobs
+            paths = write_csvs(run_scenario(scenario), tmp_path / tag / name)
+            assert len(paths) == len(scenario.curves)
+            runs[tag] = {path.name: path.read_bytes() for path in paths}
         if runs["first"] != runs["second"]:
             mismatches.append(name)
     check(11, "byte-identical CSV across repeated runs",

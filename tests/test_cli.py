@@ -21,10 +21,11 @@ from phasedjcm import (
     COLUMNS,
     Curve,
     ModelParams,
+    ParameterError,
     Scenario,
     TimeSeries,
-    emit_csv,
     run_scenario,
+    write_csvs,
 )
 from phasedjcm.cli import main
 
@@ -99,7 +100,7 @@ def tiny_scenario(**param_overrides):
 
 
 def test_run_scenario_series_layout():
-    series = run_scenario(tiny_scenario())
+    series = list(run_scenario(tiny_scenario()))
     assert [s.label for s in series] == ["undamped", "damped"]
     for s in series:
         assert s.axis_name == "tau"
@@ -113,9 +114,9 @@ def test_run_scenario_series_layout():
 
 
 def test_emit_csv_format(tmp_path):
-    series = run_scenario(tiny_scenario())[0]
-    path = tmp_path / "tiny__undamped.csv"
-    emit_csv(series, path)
+    series = next(run_scenario(tiny_scenario()))
+    (path,) = write_csvs([series], tmp_path)
+    assert path == tmp_path / "tiny__undamped.csv"
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
@@ -138,8 +139,7 @@ def test_emit_csv_prints_each_cell_as_format_9g(tmp_path):
     # Column k holds the values rotated by k, so every column sees each.
     columns = {name: np.roll(values, k) for k, name in enumerate(COLUMNS)}
     series = TimeSeries("t", "cells", "tau", np.array(values), columns)
-    path = tmp_path / "cells.csv"
-    emit_csv(series, path)
+    (path,) = write_csvs([series], tmp_path)
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.count(b"\n") == 1 + len(values) and raw.endswith(b"\n")
@@ -154,9 +154,8 @@ def test_emit_csv_prints_each_cell_as_format_9g(tmp_path):
 def test_emit_csv_is_deterministic(tmp_path):
     paths = []
     for run in range(2):
-        series = run_scenario(tiny_scenario())
-        path = tmp_path / f"run{run}.csv"
-        emit_csv(series[1], path)
+        series = list(run_scenario(tiny_scenario()))
+        (path,) = write_csvs(series[1:], tmp_path / f"run{run}")
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -187,32 +186,32 @@ def test_emit_csv_keeps_the_old_file_when_a_write_fails(tmp_path,
     """A write that fails after the header leaves the earlier CSV's bytes
     and no temporary file; the next write replaces the CSV whole, with the
     mode of a plain new file."""
-    series = run_scenario(tiny_scenario())
-    path = tmp_path / "tiny.csv"
-    emit_csv(series[0], path)
+    first, second = run_scenario(tiny_scenario())
+    # The second curve under the first one's label goes to the same path.
+    second = replace(second, label=first.label)
+    (path,) = write_csvs([first], tmp_path)
     old = path.read_bytes()
     monkeypatch.setattr(phasedjcm.runner, "open",
                         lambda file, mode: FailingFile(open(file, mode),
                                                        error),
                         raising=False)
     with pytest.raises(type(error)):
-        emit_csv(series[1], path)
+        write_csvs([second], tmp_path)
     assert path.read_bytes() == old
     assert list(tmp_path.iterdir()) == [path]
     monkeypatch.undo()
-    emit_csv(series[1], path)
-    fresh = tmp_path / "fresh.csv"
-    emit_csv(series[1], fresh)
+    assert write_csvs([second], tmp_path) == [path]
+    (fresh,) = write_csvs([replace(second, label="fresh")], tmp_path)
     assert path.read_bytes() == fresh.read_bytes() != old
     plain = tmp_path / "plain"
     plain.touch()
     assert path.stat().st_mode == plain.stat().st_mode
-    assert sorted(tmp_path.iterdir()) == [fresh, plain, path]
+    assert sorted(tmp_path.iterdir()) == [plain, fresh, path]
 
 
 def test_emit_csv_memory_does_not_grow_with_the_grid(tmp_path):
     """A 100,001-row curve is formatted and written in chunks, so the
-    memory emit_csv allocates stays under 1 MiB (the columns alone take
+    memory write_csvs allocates stays under 1 MiB (the columns alone take
     8.8 MB; formatting the whole table at once peaked at 63 MiB)."""
     rows = 100_001
     rng = np.random.default_rng(0)
@@ -220,12 +219,12 @@ def test_emit_csv_memory_does_not_grow_with_the_grid(tmp_path):
                         {name: rng.standard_normal(rows) for name in COLUMNS})
     tracemalloc.start()
     try:
-        emit_csv(series, tmp_path / "long.csv")
+        (path,) = write_csvs([series], tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert (tmp_path / "long.csv").read_bytes().count(b"\n") == 1 + rows
+    assert path.read_bytes().count(b"\n") == 1 + rows
 
 
 @pytest.mark.parametrize("rows", [phasedjcm.runner._CSV_ROWS - 1,
@@ -241,8 +240,7 @@ def test_emit_csv_bytes_at_chunk_boundaries(tmp_path, rows):
     values[:, :4] = [math.nan, math.inf, -0.0, 5e-324]
     series = TimeSeries("t", "chunks", "tau", values[0],
                         dict(zip(COLUMNS, values[1:])))
-    path = tmp_path / "chunks.csv"
-    emit_csv(series, path)
+    (path,) = write_csvs([series], tmp_path)
     want = EXPECTED_HEADER + "\n" + "".join(
         ",".join(format(value, ".9g") for value in row) + "\n"
         for row in values.T)
@@ -285,6 +283,83 @@ def test_call_whose_last_curve_fails_replaces_no_csv(tmp_path, monkeypatch,
         f"fig5b__{label}.csv" for label in labels)
     assert all(p.read_bytes() == b"old\n" for p in out.iterdir())
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(sweep="kappa"), "unknown sweep kind"),
+    (dict(start=1.0, stop=0.0), "empty grid"),
+])
+def test_run_scenario_checks_the_sweep_and_grid_at_the_call(bad, message):
+    """The sweep kind and the grid are checked when run_scenario is called,
+    not when its first curve is reached."""
+    scenario = replace(tiny_scenario(), **bad)
+    with pytest.raises(ValueError, match=message):
+        run_scenario(scenario)
+
+
+def test_run_scenario_computes_each_curve_as_it_is_reached():
+    """Only the second curve has invalid parameters: the first is yielded
+    whole, and the ParameterError comes at the next ``next``."""
+    scenario = replace(tiny_scenario(), curves=(
+        Curve("good", small_params()), Curve("bad", small_params(p11=1.5))))
+    curves = run_scenario(scenario)
+    first = next(curves)
+    assert first.label == "good"
+    assert np.all(np.isfinite(first.columns["clb"]))
+    with pytest.raises(ParameterError, match="p11"):
+        next(curves)
+
+
+@pytest.mark.parametrize("error", [ValueError("curve failed"),
+                                   KeyboardInterrupt()])
+def test_write_csvs_commits_no_csv_when_the_curves_fail(tmp_path, error):
+    """An iterable that raises after its first curve leaves neither a CSV
+    nor a temporary file, and a CSV already at that path keeps its bytes;
+    one that fails before its first curve makes no directory."""
+    first = next(run_scenario(tiny_scenario()))
+
+    def curves(count):
+        yield from [first][:count]
+        raise error
+
+    out = tmp_path / "out"
+    with pytest.raises(type(error)):
+        write_csvs(curves(1), out)
+    assert list(out.iterdir()) == []
+    path = out / "tiny__undamped.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(type(error)):
+        write_csvs(curves(1), out)
+    assert list(out.iterdir()) == [path]
+    assert path.read_bytes() == b"old\n"
+    fresh = tmp_path / "fresh"
+    with pytest.raises(type(error)):
+        write_csvs(curves(0), fresh)
+    assert not fresh.exists()
+
+
+def test_write_csvs_holds_one_curve_at_a_time(tmp_path):
+    """Each curve is dropped before the next is computed, so a call with
+    three curves of 3001 rows peaks no higher than a call with one.  The
+    allowance, 64 KiB, is a quarter of one curve's columns (264 KB), which
+    a writer holding the previous curve adds to the peak; the measured gap
+    is under 5 KB."""
+    params = small_params(mean_photons=1.0)
+    scenario = Scenario(name="long", sweep="tau", start=0.0, stop=150.0,
+                        step=0.05, curves=tuple(
+                            Curve(f"c{k}", params) for k in range(3)))
+    peaks = []
+    for count in (1, 3):
+        curves = run_scenario(replace(scenario,
+                                      curves=scenario.curves[:count]))
+        tracemalloc.start()
+        try:
+            paths = write_csvs(curves, tmp_path / str(count))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(paths) == count
+    assert peaks[1] <= peaks[0] + 2**16
 
 
 def test_stale_temporaries_do_not_block_a_csv(tmp_path, capsys):
@@ -357,8 +432,7 @@ def test_evolve_command_matches_run_scenario(tmp_path):
     expected_params = small_params(lam=0.9, p11=0.6)
     scenario = Scenario(name="evolve", sweep="tau", start=0.0, stop=0.5,
                         step=0.25, curves=(Curve("mix", expected_params),))
-    expected = tmp_path / "expected.csv"
-    emit_csv(run_scenario(scenario)[0], expected)
+    (expected,) = write_csvs(run_scenario(scenario), tmp_path / "expected")
     assert (out / "evolve__mix.csv").read_bytes() == expected.read_bytes()
 
 
@@ -799,6 +873,18 @@ def test_package_modules_use_every_import():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_cli_imports_no_private_name_of_the_runner_or_the_oracle():
+    """The command line runs on the public API of ``runner`` and
+    ``lindblad``: it imports no underscore-prefixed name from either."""
+    path = Path(phasedjcm.__file__).parent / "cli.py"
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("runner", "lindblad")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_package_private_names_are_all_used():

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from phasedjcm import CATALOG, COLUMNS, emit_csv, run_scenario
+from phasedjcm import CATALOG, COLUMNS, run_scenario, write_csvs
 
 REFERENCE = (Path(__file__).resolve().parent.parent
              / "perfbench" / "reference" / "catalog.json")
@@ -45,13 +45,13 @@ def reference():
 
 @pytest.fixture(scope="module")
 def catalog_runs():
-    """``run_scenario`` of a catalog scenario by name, run once for both
-    tests below."""
+    """The curves of ``run_scenario`` of a catalog scenario by name, listed
+    once for the tests below."""
     runs = {}
 
     def run(name):
         if name not in runs:
-            runs[name] = run_scenario(CATALOG[name])
+            runs[name] = list(run_scenario(CATALOG[name]))
         return runs[name]
     return run
 
@@ -60,7 +60,8 @@ def catalog_runs():
 def test_catalog_matches_reference_rows(name, reference, catalog_runs):
     scenario = CATALOG[name]
     mismatches = []
-    for curve, series in zip(scenario.curves, catalog_runs(name)):
+    for curve, series in zip(scenario.curves, catalog_runs(name),
+                             strict=True):
         entry = reference[f"{name}__{series.label}.csv"]
         assert series.axis_name == entry["axis"]
         assert series.axis.size == entry["n_rows"]
@@ -96,9 +97,9 @@ def test_digests_cover_every_catalog_curve(digests):
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_no_catalog_cell_reads_negative_zero(name, tmp_path, catalog_runs):
     # A pure level's entropy sums zero terms; it prints as 0, not -0.
-    for series in catalog_runs(name):
-        path = tmp_path / f"{name}__{series.label}.csv"
-        emit_csv(series, path)
+    paths = write_csvs(catalog_runs(name), tmp_path)
+    assert len(paths) == len(CATALOG[name].curves)
+    for path in paths:
         cells = path.read_text(encoding="ascii").replace("\n", ",").split(",")
         assert "-0" not in cells, path.name
 
@@ -107,9 +108,9 @@ def test_no_catalog_cell_reads_negative_zero(name, tmp_path, catalog_runs):
 def test_catalog_csv_bytes_match_digests(name, digests, tmp_path,
                                          catalog_runs):
     changed = []
-    for series in catalog_runs(name):
-        path = tmp_path / f"{name}__{series.label}.csv"
-        emit_csv(series, path)
+    paths = write_csvs(catalog_runs(name), tmp_path)
+    assert len(paths) == len(CATALOG[name].curves)
+    for path in paths:
         if hashlib.sha256(path.read_bytes()).hexdigest() != digests[path.name]:
             changed.append(path.name)
     assert not changed, changed

@@ -151,7 +151,7 @@ def test_pure_dephasing_without_coupling():
     signs = dephasing_signs(5)
     rho0 = random_density(dim, seed=3)
     tau = 1.7
-    rho1 = integrate_path(rho0, params, [tau])[0]
+    (rho1,) = integrate_path(rho0, params, [tau])
     decay = math.exp(-0.3 * tau)
     for j in range(dim):
         for k in range(dim):
@@ -167,7 +167,7 @@ def test_single_pair_rabi_oscillation():
     g = basis_index(2, 1)
     rho0[g, g] = 1.0
     for tau in (0.4, 1.1, 2.3):
-        rho1 = integrate_path(rho0, params, [tau])[0]
+        (rho1,) = integrate_path(rho0, params, [tau])
         want = 0.5 * (1.0 + math.cos(2.0 * math.sqrt(3.0) * tau))
         assert rho1[g, g].real == pytest.approx(want, abs=1e-13)
 
@@ -175,17 +175,18 @@ def test_single_pair_rabi_oscillation():
 def test_integrate_path_zero_time_and_input_guards():
     params = make_params(gamma_bar=0.02, n_max=8)
     rho0 = random_density(space_dim(8), seed=5)
-    np.testing.assert_allclose(integrate_path(rho0, params, [0.0])[0], rho0,
-                               atol=1e-15)
+    (rho,) = integrate_path(rho0, params, [0.0])
+    np.testing.assert_allclose(rho, rho0, atol=1e-15)
     # Both are rejected before any work: the over-budget path would need
     # about 1e8 substeps.
     start = time.perf_counter()
     with pytest.raises(ValueError, match="substeps"):
-        integrate_path(rho0, make_params(kappa_bar=1e6, n_max=8), [5.0])
+        next(integrate_path(rho0, make_params(kappa_bar=1e6, n_max=8),
+                            [5.0]))
     bad = rho0.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        integrate_path(bad, params, [1.0])
+        next(integrate_path(bad, params, [1.0]))
     assert time.perf_counter() - start < 5.0
 
 
@@ -195,7 +196,7 @@ def test_integrate_path_refuses_non_finite_times(taus):
     params = make_params(gamma_bar=0.02, n_max=4)
     rho0 = random_density(space_dim(4), seed=6)
     with pytest.raises(ValueError, match="taus must be finite"):
-        integrate_path(rho0, params, taus)
+        next(integrate_path(rho0, params, taus))
 
 
 def invariant_subspaces(liou):
@@ -233,7 +234,8 @@ def test_integrate_path_matches_a_30_digit_exponential(n_max, gamma_bar):
     params = make_params(gamma_bar=gamma_bar, n_max=n_max)
     rho0 = random_density(space_dim(n_max), seed=40 + n_max)
     taus = [0.7, 3.0]
-    for tau, rho in zip(taus, integrate_path(rho0, params, taus)):
+    for tau, rho in zip(taus, integrate_path(rho0, params, taus),
+                        strict=True):
         want = exact_evolution(rho0, params, tau)
         np.testing.assert_allclose(rho, want, rtol=0.0, atol=1e-14)
 
@@ -244,8 +246,9 @@ def test_integrate_path_is_linear_at_extreme_scales(factor):
     # scales unless the state is carried rescaled.
     params = make_params(gamma_bar=0.05, n_max=6)
     rho0 = random_density(space_dim(6), seed=13)
-    want = integrate_path(rho0, params, [2.0])[0]
-    got = integrate_path(rho0 * factor, params, [2.0])[0] / factor
+    (want,) = integrate_path(rho0, params, [2.0])
+    (got,) = integrate_path(rho0 * factor, params, [2.0])
+    got = got / factor
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
 
@@ -325,7 +328,7 @@ def test_taylor_keeps_every_series_of_a_path(monkeypatch, factor):
     monkeypatch.setattr(lindblad, "_taylor", checked)
     params = make_params(gamma_bar=0.05, n_max=6)
     rho0 = random_density(space_dim(6), seed=13)
-    integrate_path(rho0 * factor, params, [0.5, 2.0])
+    assert len(list(integrate_path(rho0 * factor, params, [0.5, 2.0]))) == 2
     assert series
 
 
@@ -351,11 +354,14 @@ def test_zero_span_and_zero_state_return_at_once(monkeypatch):
     rho0 = random_density(space_dim(6), seed=9)
     rho0 = 0.5 * (rho0 + rho0.conj().T)
     # A zero span takes no substep, so the state comes back exactly.
-    np.testing.assert_array_equal(integrate_path(rho0, params, [0.0])[0], rho0)
+    (rho,) = integrate_path(rho0, params, [0.0])
+    np.testing.assert_array_equal(rho, rho0)
     assert counts == {"series": 0, "applications": 0}
     # With ||F|| = 0 every series stops after its first term.
     zero = np.zeros_like(rho0)
-    for rho in integrate_path(zero, params, [0.0, 0.7, 3.0]):
+    path = list(integrate_path(zero, params, [0.0, 0.7, 3.0]))
+    assert len(path) == 3
+    for rho in path:
         np.testing.assert_array_equal(rho, zero)
     assert counts["series"] > 0
     assert counts["applications"] == counts["series"]
@@ -366,12 +372,12 @@ def test_integrate_path_requires_a_hermitian_state():
     rho0 = random_density(space_dim(4), seed=21)
     # random_density is Hermitian only to round-off; it is symmetrized.
     assert not np.array_equal(rho0, rho0.conj().T)
-    rho = integrate_path(rho0, params, [0.5])[0]
+    (rho,) = integrate_path(rho0, params, [0.5])
     np.testing.assert_array_equal(rho, rho.conj().T)
     bad = rho0.copy()
     bad[1, 4] += 1e-3
     with pytest.raises(ValueError, match="Hermitian"):
-        integrate_path(bad, params, [0.5])
+        next(integrate_path(bad, params, [0.5]))
 
 
 def von_neumann(rho):
@@ -398,7 +404,7 @@ def test_pure_level_start_keeps_atom_and_field_entropies_equal():
     # The oracle's dense state agrees, through its partial traces.
     taus = [0.4, 1.3, 7.0]
     for tau, rho in zip(taus, integrate_path(dense_from_block(state), params,
-                                             taus)):
+                                             taus), strict=True):
         split = rho.reshape(n_max + 1, 2, n_max + 1, 2)
         s_atom = von_neumann(np.einsum("ninj->ij", split))
         s_rad = von_neumann(np.einsum("nimi->nm", split))
@@ -412,7 +418,7 @@ def test_trace_preserved_over_long_run():
     params = make_params(gamma_bar=0.05)
     state = build_initial_state(params)
     rho0 = dense_from_block(state)
-    rho1 = integrate_path(rho0, params, [30.0])[0]
+    (rho1,) = integrate_path(rho0, params, [30.0])
     assert abs(np.trace(rho1).real - 1.0) < 1e-10
     assert abs(np.trace(rho1).imag) < 1e-12
 
@@ -421,15 +427,15 @@ def test_integrate_path_checkpoints_match_single_runs():
     params = make_params(gamma_bar=0.02)
     rho0 = dense_from_block(build_initial_state(params))
     taus = [0.5, 1.25, 2.0]
-    path = integrate_path(rho0, params, taus)
+    path = list(integrate_path(rho0, params, taus))
     assert len(path) == 3
-    for tau, rho in zip(taus, path):
-        np.testing.assert_allclose(rho, integrate_path(rho0, params, [tau])[0],
-                                   atol=1e-12)
+    for tau, rho in zip(taus, path, strict=True):
+        (single,) = integrate_path(rho0, params, [tau])
+        np.testing.assert_allclose(rho, single, atol=1e-12)
     with pytest.raises(ValueError):
-        integrate_path(rho0, params, [1.0, 0.5])
+        next(integrate_path(rho0, params, [1.0, 0.5]))
     with pytest.raises(ValueError):
-        integrate_path(rho0, params, [-1.0])
+        next(integrate_path(rho0, params, [-1.0]))
 
 
 def test_compare_states_classifies_deviations():
@@ -439,7 +445,7 @@ def test_compare_states_classifies_deviations():
     report = compare_states(rho0, state)
     assert report.max_abs == 0.0
 
-    evolved = integrate_path(rho0, params, [3.0])[0]
+    (evolved,) = integrate_path(rho0, params, [3.0])
     report = compare_states(evolved, propagate(state, params, 3.0))
     assert report.max_abs < 1e-8
     assert set(report.by_class) == {"a", "b", "c", "off_block"}
@@ -492,7 +498,7 @@ def test_closed_form_matches_integrator():
     state = build_initial_state(params)
     rho0 = dense_from_block(state)
     for tau in (0.7, 3.0):
-        rho1 = integrate_path(rho0, params, [tau])[0]
+        (rho1,) = integrate_path(rho0, params, [tau])
         report = compare_states(rho1, propagate(state, params, tau))
         assert report.max_abs < 1e-12
 
@@ -580,13 +586,14 @@ def test_runner_columns_match_the_oracle_at_catalog_rows(name):
     scenario = CATALOG[name]
     grid = scenario.grid()
     worst, compared = 0.0, 0
-    for curve, series in zip(scenario.curves, run_scenario(scenario)):
+    for curve, series in zip(scenario.curves, run_scenario(scenario),
+                             strict=True):
         rows = sorted(map(int, reference[f"{name}__{series.label}.csv"]
                           ["rows"]))
         params = curve.params
         path = integrate_path(dense_from_block(build_initial_state(params)),
                               params, grid[rows])
-        for i, rho in zip(rows, path):
+        for i, rho in zip(rows, path, strict=True):
             for column, want in dense_columns(rho, params.n_max).items():
                 worst = max(worst, abs(series.columns[column][i] - want))
                 compared += 1

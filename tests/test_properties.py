@@ -76,15 +76,13 @@ def test_batched_propagation_equals_batch_of_one(params, taus):
     initial = build_initial_state(params)
     batch = propagate(initial, params, np.array(taus))
     reports = entropy_report(batch)
-    clb = concurrence_lower_bound(batch)
     for i, tau in enumerate(taus):
         one = propagate(initial, params, tau)
         for got, want in zip(row_of(batch, i), (one.a, one.b, one.c)):
             np.testing.assert_array_equal(got, want)
-        rep = entropy_report(one)
-        for name, value in vars(rep).items():
+        # The report's fields include the concurrence bound.
+        for name, value in vars(entropy_report(one)).items():
             assert getattr(reports, name)[i] == value, name
-        assert clb[i] == concurrence_lower_bound(one)
 
 
 @PROPERTY_SETTINGS
@@ -175,7 +173,7 @@ def test_oracle_matches_closed_form(params, taus):
     taus = sorted(taus)
     initial = build_initial_state(params)
     path = integrate_path(dense_from_block(initial), params, taus)
-    for tau, dense in zip(taus, path):
+    for tau, dense in zip(taus, path, strict=True):
         report = compare_states(dense, propagate(initial, params, tau))
         assert report.max_abs < 1e-12, (tau, report)
 
@@ -200,9 +198,8 @@ def test_runner_rows_equal_scalar_evaluation(params):
                 state = build_initial_state(point)
                 asym_tau = 0.0
             rep = entropy_report(state)
-            assert series.columns["clb"][i] == concurrence_lower_bound(state)
-            for name in ("deficit", "mutual", "s_atom", "s_rad", "s_joint",
-                         "rel_atom", "rel_rad", "inversion"):
+            for name in ("clb", "deficit", "mutual", "s_atom", "s_rad",
+                         "s_joint", "rel_atom", "rel_rad", "inversion"):
                 assert series.columns[name][i] == getattr(rep, name), name
             asym = series.columns["inversion_asym"][i]
             if params.gamma_bar == 0:
@@ -231,7 +228,6 @@ def test_runner_blocks_match_one_direct_step_per_row(mean_photons, gamma_bar):
     for i, tau in enumerate(series.axis):
         state = propagate(initial, params, float(tau))
         want = vars(entropy_report(state))
-        want["clb"] = concurrence_lower_bound(state)
         for name in ("clb", "deficit", "mutual", "s_atom", "s_rad",
                      "s_joint", "rel_atom", "rel_rad", "inversion"):
             assert abs(series.columns[name][i] - want[name]) <= 1e-12, (
@@ -242,8 +238,8 @@ def test_lambda_sweep_of_many_blocks_matches_the_public_layers(monkeypatch):
     """A lambda sweep at N = 100 (n_max 240, so 31 rows a block) over 401
     weights makes 12 full blocks and a short last one of 29, all through
     the same work arrays held for the curve.  Every kernel column equals
-    entropy_report and concurrence_lower_bound of the whole batch of
-    initial states bit for bit."""
+    the entropy_report of the whole batch of initial states bit for
+    bit."""
     params = ModelParams(kappa_bar=1.0, gamma_bar=0.0, mean_photons=100.0,
                          lam=0.0, p11=0.8, q11=0.5, bell_phase=math.pi / 6.0)
     scenario = Scenario(name="t", sweep="lambda", start=0.0, stop=1.0,
@@ -262,7 +258,6 @@ def test_lambda_sweep_of_many_blocks_matches_the_public_layers(monkeypatch):
     assert all(work is calls[0][1] for _, work in calls)
     state = build_initial_state(params, series.axis)
     want = vars(entropy_report(state))
-    want["clb"] = concurrence_lower_bound(state)
     for name in COLUMNS[:-1]:
         np.testing.assert_array_equal(series.columns[name], want[name], name)
 
@@ -317,9 +312,9 @@ def test_grid_never_passes_its_stop(start, step, whole, frac, ulps):
 def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
     """The column kernel on the first two blocks of a tau curve (a
     first block and a short later block moved on in place by a shift up to
-    60) and on a lambda-sweep block, against entropy_report and
-    concurrence_lower_bound of the same states.  The public functions read
-    their fields from the kernel, so they agree bit for bit.  A Bell
+    60) and on a lambda-sweep block, against entropy_report of the same
+    states.  The public functions read their fields from the kernel, so
+    they agree bit for bit.  A Bell
     start gets b[0] = -1e-18, a population left negative by round-off (b[0]
     is a constant of the motion), so the bound's clip runs on every
     block."""
@@ -340,7 +335,6 @@ def test_column_kernel_matches_the_public_layers(params, rows, shift, bell):
     def check(state, levels, c_sq):
         cols = _columns(levels, c_sq, work)
         want = vars(entropy_report(state))
-        want["clb"] = concurrence_lower_bound(state)
         for name in COLUMNS[:-1]:
             np.testing.assert_array_equal(cols[name], want[name], name)
 
