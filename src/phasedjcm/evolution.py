@@ -7,7 +7,8 @@ E(n) = sqrt(4 kappa_bar^2 (n+1) - (gamma_bar/2)^2) and the pair sum a + b is
 kept.  This exact solution of the master equation inside one pair is written
 in real arithmetic and applied to every pair at once, so arbitrary times are
 reached in a single call with no stepping error.  ``propagate`` and the first
-block of ``_tau_blocks`` take this step through one function, ``_step_pairs``.
+block of ``_tau_blocks`` take this step, the unpaired levels included,
+through one function, ``_step_pairs``.
 """
 
 from __future__ import annotations
@@ -80,14 +81,17 @@ def _move_pairs(factors, a0, b0, diff, im0, drive, a, b, im,
 
 def _step_pairs(factors, state: BlockState, rates, a, b, re, im,
                 flow=None) -> None:
-    """Write one exact step of the pairs of ``state`` by ``factors`` (from
-    ``_step_factors``) into a[n], b[n+1], Re c[n] and Im c[n], passed as
-    ``a``, ``b``, ``re`` and ``im``; ``flow`` is as for ``_move_pairs``.
-    The unpaired levels are left to the caller."""
+    """Write one exact step of ``state`` by ``factors`` (from
+    ``_step_factors``) into its populations ``a`` and ``b`` and the parts
+    ``re`` and ``im`` of its coherences; ``flow`` is as for ``_move_pairs``.
+    The unpaired b[0] and a[n_max] (whose partner lies above the
+    truncation) are constants of the motion, so they are carried over."""
     a0, b0, im0 = state.a[..., :-1], state.b[..., 1:], state.c.imag
-    _move_pairs(factors, a0, b0, a0 - b0, im0, 2.0 * rates[1] * im0, a, b,
-                im, flow)
+    _move_pairs(factors, a0, b0, a0 - b0, im0, 2.0 * rates[1] * im0,
+                a[..., :-1], b[..., 1:], im, flow)
     np.multiply(factors[-1], state.c.real, out=re)
+    a[..., -1] = state.a[..., -1]
+    b[..., 0] = state.b[..., 0]
 
 
 def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
@@ -95,12 +99,9 @@ def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
 
     ``tau`` is a scalar or a 1-D array of times.  An array gives a batched
     state with one row per time; a batched ``state`` is evolved row by row,
-    its rows broadcast against the times.  The unpaired weights b[0] and
-    a[n_max] are constants of the motion (the latter because its partner
-    level lies above the truncation), so they are carried through unchanged.
-    Evolution is a semigroup: propagate(s, t1 + t2) ==
-    propagate(propagate(s, t1), t2) to round-off.  Raises ValueError when a
-    phase E tau is not finite.
+    its rows broadcast against the times.  Evolution is a semigroup:
+    propagate(s, t1 + t2) == propagate(propagate(s, t1), t2) to round-off.
+    Raises ValueError when a phase E tau is not finite.
     """
     rates = _pair_rates(params, state.n_max)
     factors = _step_factors(params, rates, tau)
@@ -108,10 +109,7 @@ def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     a = np.empty(shape[:-1] + (state.n_max + 1,))
     b = np.empty_like(a)
     c = np.empty(shape, dtype=complex)
-    _step_pairs(factors, state, rates, a[..., :-1], b[..., 1:], c.real,
-                c.imag)
-    a[..., -1] = state.a[..., -1]
-    b[..., 0] = state.b[..., 0]
+    _step_pairs(factors, state, rates, a, b, c.real, c.imag)
     return BlockState(a=a, b=b, c=c)
 
 
@@ -128,9 +126,9 @@ def _tau_blocks(state: BlockState, params: ModelParams, grid, rows: int):
     time grid[lo] - grid[0] (a short last block takes the first rows).
     Each equals propagate of what it moves bit for bit, so every sample is
     reached in at most two exact steps.  The unpaired levels are constants
-    of the motion, so no step writes them.  The step factors of as many
-    shifts as a block has rows are computed together when the walk reaches
-    them, so a table is never larger than the block.
+    of the motion, so later blocks keep the first block's.  The step
+    factors of as many shifts as a block has rows are computed together
+    when the walk reaches them, so a table is never larger than the block.
     Raises ValueError when a phase E tau is not finite.
     """
     rows = min(rows, grid.size)
@@ -142,8 +140,7 @@ def _tau_blocks(state: BlockState, params: ModelParams, grid, rows: int):
                                 for _ in range(5))
     a, b = _split_levels(levels)
     factors = _step_factors(params, rates, grid[:rows])
-    _step_pairs(factors, state, rates, a[:, :-1], b[:, 1:], re0, im0, flow)
-    a[:, -1], b[:, 0] = state.a[-1], state.b[0]
+    _step_pairs(factors, state, rates, a, b, re0, im0, flow)
     # Contiguous copies of the first block's pairs, which the later moves
     # read faster than views of the levels they overwrite.
     a0, b0 = a[:, :-1].copy(), b[:, 1:].copy()

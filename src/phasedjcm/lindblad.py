@@ -263,25 +263,19 @@ def compare_states(dense: np.ndarray, block: BlockState) -> ComparisonReport:
     dense = np.asarray(dense, dtype=complex)
     if dense.shape != (dim, dim):
         raise ValueError(f"state shape {dense.shape} != ({dim}, {dim})")
-    # |dense - dense_from_block(block)|, written without building the
-    # second matrix: only the block entries differ from |dense|.
+    diff = np.abs(dense - dense_from_block(block))
     upper, partner = _block_entries(block.n_max)
-    paired = upper[:-1]
     classes = {
-        "a": ((upper, upper), block.a),
-        "b": ((upper + 1, upper + 1), block.b),
-        "c": ((np.concatenate([paired, partner]),
-               np.concatenate([partner, paired])),
-              np.concatenate([block.c, np.conj(block.c)])),
+        "a": (upper, upper),
+        "b": (upper + 1, upper + 1),
+        "c": (np.concatenate([upper[:-1], partner]),
+              np.concatenate([partner, upper[:-1]])),
     }
-    diff = np.abs(dense)
-    by_class = {}
-    for name, (index, values) in classes.items():
-        diff[index] = np.abs(dense[index] - values)
-        by_class[name] = float(diff[index].max())
+    by_class = {name: float(diff[index].max())
+                for name, index in classes.items()}
     max_abs = float(diff.max())
     # What is left once the block entries are cleared lies off the blocks.
-    for index, _ in classes.values():
+    for index in classes.values():
         diff[index] = 0.0
     by_class["off_block"] = float(diff.max())
     return ComparisonReport(max_abs=max_abs, by_class=by_class)

@@ -16,7 +16,8 @@ and field.  The paper's text beyond its abstract is not at hand, so which
 level its p11 weights is not checked here.  ``BlockState``
 stores exactly that structure: the populations of each pair, the single
 intra-pair coherence, and the weight of the unpaired |0,2> level.  It may
-carry a leading batch axis of several such states, one per row.
+carry a leading batch axis of several such states, one per row, the layout
+in which ``_lambda_blocks`` writes the initial states of a lambda scan.
 """
 
 from __future__ import annotations
@@ -366,6 +367,28 @@ def _initial_arrays(params: ModelParams, lam: np.ndarray, pn: np.ndarray,
     c *= np.sqrt(q11 * q22)
     c *= np.exp(-1j * params.bell_phase)
     return a, b, c
+
+
+def _lambda_blocks(params: ModelParams, grid: np.ndarray, rows: int):
+    """Yield (block, levels, c_sq) of the initial states at every block of
+    ``rows`` lambdas, in order, written into arrays held for the curve, so
+    each block is overwritten by the next.
+
+    The Poisson weights are taken once, and no block is validated: the
+    caller validates the grid's ends, which covers every interior point
+    (see ``runner._run_curve``).
+    """
+    pn = _poisson_weights(params.mean_photons, params.n_max)[0]
+    levels = np.empty((rows, 2 * params.n_max + 2))
+    c = np.empty((rows, params.n_max), dtype=complex)
+    c_sq = np.empty((rows, params.n_max))
+    for lo in range(0, grid.size, rows):
+        lam = grid[lo:lo + rows]
+        size = lam.size
+        _initial_arrays(params, lam, pn,
+                        out=(*_split_levels(levels[:size]), c[:size]))
+        yield (slice(lo, lo + size), levels[:size],
+               _abs_sq(c[:size], out=c_sq[:size]))
 
 
 def build_initial_state(params: ModelParams, lam=None) -> BlockState:

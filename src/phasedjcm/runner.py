@@ -6,8 +6,8 @@ mixture weight lambda).  A curve is evaluated in blocks of grid rows, each
 block one batched state, so every layer sees whole rows at once: a tau
 curve's blocks come from ``evolution._tau_blocks``, which steps the
 initial state to the first block's times and moves that block's rows on,
-by one scalar time, for every later block, while a lambda scan writes each
-block's initial states (``_lambda_blocks``).  One column kernel,
+by one scalar time, for every later block, and a lambda scan's initial
+states from ``model._lambda_blocks``.  One column kernel,
 ``observables._columns``, turns every block into the computed columns.
 ``run_scenario`` yields each curve as it is computed, and ``write_csvs``
 writes one CSV per curve with a fixed column set, printed with 9
@@ -23,14 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .evolution import _tau_blocks
-from .model import (ModelParams, _abs_sq, _initial_arrays, _poisson_weights,
-                    _split_levels, build_initial_state)
+from .model import ModelParams, _lambda_blocks, build_initial_state
 from .observables import _columns, _work_arrays
 from .revival import poisson_sum_inversion
 
@@ -98,9 +97,11 @@ class Scenario:
         if self.stop < self.start:
             raise ValueError(f"{self.name}: empty grid")
         ratio = (self.stop - self.start) / self.step
-        if not math.isfinite(ratio):
+        # Past limit a float64 array's bytes overflow an intp; inf clips to it.
+        limit = np.iinfo(np.intp).max // 8
+        count = math.floor(min(ratio, limit) * (1.0 + _GRID_SLACK)) + 1
+        if count > limit:
             raise ValueError(f"{self.name}: grid has too many points")
-        count = math.floor(ratio * (1.0 + _GRID_SLACK)) + 1
         # The slack and the round-off of the product can put the last point
         # a few ulps past stop.
         return np.minimum(self.start + self.step * np.arange(count),
@@ -116,28 +117,6 @@ class TimeSeries:
     axis_name: str
     axis: np.ndarray
     columns: dict
-
-
-def _lambda_blocks(params: ModelParams, grid: np.ndarray, rows: int):
-    """Yield (block, levels, c_sq) of the initial states at every block of
-    ``rows`` lambdas, in order, written into arrays held for the curve, so
-    each block is overwritten by the next.
-
-    The Poisson weights are taken once, and no block is validated: the
-    caller validates the grid's ends, which covers every interior point
-    (see ``_run_curve``).
-    """
-    pn = _poisson_weights(params.mean_photons, params.n_max)[0]
-    levels = np.empty((rows, 2 * params.n_max + 2))
-    c = np.empty((rows, params.n_max), dtype=complex)
-    c_sq = np.empty((rows, params.n_max))
-    for lo in range(0, grid.size, rows):
-        lam = grid[lo:lo + rows]
-        size = lam.size
-        _initial_arrays(params, lam, pn,
-                        out=(*_split_levels(levels[:size]), c[:size]))
-        yield (slice(lo, lo + size), levels[:size],
-               _abs_sq(c[:size], out=c_sq[:size]))
 
 
 def _run_curve(scenario: Scenario, curve: Curve,
@@ -276,6 +255,14 @@ def _catalog() -> dict:
     def params(base, **kw):
         return ModelParams(**{**base, **kw})
 
+    def with_damped(curves, gamma_bar):
+        """The curves, then each again at ``gamma_bar``, labelled
+        ``<label>_g<gamma_bar>``."""
+        return tuple(curves) + tuple(
+            Curve(f"{curve.label}_g{_label_num(gamma_bar)}",
+                  replace(curve.params, gamma_bar=gamma_bar))
+            for curve in curves)
+
     catalog = {}
 
     # Initial-state concurrence scans over the mixture weight.
@@ -304,17 +291,11 @@ def _catalog() -> dict:
     # Concurrence bound vs time for three mixture weights; the inset curves
     # repeat them with weak damping.
     def clb_vs_tau(name, base, stop, gamma_inset):
-        curves = []
-        for lam in (0.0, 0.9, 1.0):
-            curves.append(Curve(f"lam{_label_num(lam)}", params(base, lam=lam)))
-        for lam in (0.0, 0.9, 1.0):
-            curves.append(Curve(
-                f"lam{_label_num(lam)}_g{_label_num(gamma_inset)}",
-                params(base, lam=lam, gamma_bar=gamma_inset),
-            ))
+        curves = [Curve(f"lam{_label_num(lam)}", params(base, lam=lam))
+                  for lam in (0.0, 0.9, 1.0)]
         return Scenario(
             name=name, sweep="tau", start=0.0, stop=stop, step=0.05,
-            curves=tuple(curves),
+            curves=with_damped(curves, gamma_inset),
             description="concurrence bound vs tau for lambda 0/0.9/1, "
                         "with weakly damped inset variants",
             shows=("clb",),
@@ -345,25 +326,18 @@ def _catalog() -> dict:
     # Bell start: composite correlations for three Bell phases, then
     # marginals with damped companions.
     phases = (("phi0", 0.0), ("phiPi6", math.pi / 6.0), ("phiPi2", math.pi / 2.0))
+    bell = tuple(Curve(label, params(base20, lam=1.0, bell_phase=phi))
+                 for label, phi in phases)
     catalog["fig4a"] = Scenario(
         name="fig4a", sweep="tau", start=0.0, stop=70.0, step=0.05,
-        curves=tuple(
-            Curve(label, params(base20, lam=1.0, bell_phase=phi))
-            for label, phi in phases
-        ),
+        curves=bell,
         description="Bell start N=20: concurrence bound, deficit, mutual "
                     "entropy vs tau for three Bell phases",
         shows=("clb", "deficit", "mutual"),
     )
     catalog["fig4b"] = Scenario(
         name="fig4b", sweep="tau", start=0.0, stop=70.0, step=0.05,
-        curves=tuple(
-            [Curve(label, params(base20, lam=1.0, bell_phase=phi))
-             for label, phi in phases]
-            + [Curve(f"{label}_g0p05",
-                     params(base20, lam=1.0, bell_phase=phi, gamma_bar=0.05))
-               for label, phi in phases]
-        ),
+        curves=with_damped(bell, 0.05),
         description="Bell start N=20: inversion and conditional entropies "
                     "for three Bell phases, undamped and damped",
         shows=("inversion", "rel_atom", "rel_rad", "inversion_asym"),
@@ -377,13 +351,9 @@ def _catalog() -> dict:
             ("lam1", dict(lam=1.0)),
         )
         curves = [Curve(label, params(base, **kw)) for label, kw in variants]
-        curves += [
-            Curve(f"{label}_g0p05", params(base, gamma_bar=0.05, **kw))
-            for label, kw in variants
-        ]
         return Scenario(
             name=name, sweep="tau", start=0.0, stop=stop, step=0.05,
-            curves=tuple(curves),
+            curves=with_damped(curves, 0.05),
             description="conditional entropy of the atom given the field "
                         "vs tau, undamped and damped",
             shows=("rel_rad", "rel_atom"),

@@ -2,6 +2,7 @@
 
 import ast
 import errno
+import importlib
 import math
 import os
 import re
@@ -539,11 +540,13 @@ def test_bad_grid_exits_1_without_output(tmp_path, capsys):
     ["sweep-clb", "--lambda-step", "1e-15"],
     ["evolve", "--tau-max", "1e300", "--tau-step", "1e-300"],
     ["evolve", "--tau-max", "1.7e308", "--tau-step", "1.7e308"],
+    ["sweep-clb", "--lambda-step", "1e-300"],
 ])
 def test_grid_too_large_exits_1_without_output(tmp_path, capsys, argv):
     # 1e15 points would take 7.11 PiB; the third grid's point count is not
-    # even a finite number, and the last one's two points reach a time
-    # whose phase E tau overflows.
+    # even a finite number, and the fourth one's two points reach a time
+    # whose phase E tau overflows.  The last grid's 1e300 points are a
+    # finite count that no float64 array can index.
     out = tmp_path / "out"
     rc = main([*argv, "--mean-photons", "2", "--n-max", "30",
                "--out", str(out)])
@@ -551,6 +554,8 @@ def test_grid_too_large_exits_1_without_output(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
+    if argv == ["sweep-clb", "--lambda-step", "1e-300"]:
+        assert captured.err == "error: sweep-clb: grid has too many points\n"
     assert not out.exists()
 
 
@@ -885,6 +890,35 @@ def test_cli_imports_no_private_name_of_the_runner_or_the_oracle():
                and node.module in ("runner", "lindblad")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_runner_imports_no_block_format_helper_of_the_model():
+    """The block format of the initial state is known to ``model`` alone:
+    the runner takes its lambda blocks from ``model._lambda_blocks`` and
+    imports none of the helpers that write or split the levels."""
+    path = Path(phasedjcm.__file__).parent / "runner.py"
+    helpers = {"_abs_sq", "_initial_arrays", "_levels", "_poisson_weights",
+               "_split_levels"}
+    imported = [alias.name
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name in helpers]
+    assert imported == []
+
+
+def test_readme_names_only_attributes_that_exist():
+    """Every backticked ``module.name`` in README.md, with ``module`` one of
+    the package's modules, names an attribute of ``phasedjcm.<module>``."""
+    package = Path(phasedjcm.__file__).parent
+    modules = sorted(path.stem for path in package.glob("*.py")
+                     if path.stem != "__init__")
+    readme = (package.parents[1] / "README.md").read_text()
+    named = re.findall(rf"`({'|'.join(modules)})\.(\w+)", readme)
+    assert named
+    missing = [f"{module}.{name}" for module, name in named
+               if not hasattr(importlib.import_module(f"phasedjcm.{module}"),
+                              name)]
+    assert missing == []
 
 
 def test_package_private_names_are_all_used():

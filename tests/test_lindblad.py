@@ -493,6 +493,40 @@ def test_dense_from_block_matches_an_entrywise_reference(n_max):
     np.testing.assert_array_equal(dense_from_block(state), want)
 
 
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_compare_states_matches_an_entrywise_reference(n_max):
+    """Every class maximum, and the overall one, equals bit for bit the
+    maximum of |dense - want| over the entries a basis_index loop assigns
+    to that class, for non-Hermitian dense matrices too."""
+    rng = np.random.default_rng(100 + n_max)
+    dim = space_dim(n_max)
+    for _ in range(5):
+        state = BlockState(rng.random(n_max + 1), rng.random(n_max + 1),
+                           rng.normal(size=n_max)
+                           + 1j * rng.normal(size=n_max))
+        dense = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        want = np.zeros((dim, dim), dtype=complex)
+        entries = {"a": [], "b": [], "c": []}
+        for n in range(n_max + 1):
+            for name, i, value in (("a", 1, state.a[n]), ("b", 2, state.b[n])):
+                k = basis_index(n, i)
+                want[k, k] = value
+                entries[name].append((k, k))
+        for n in range(n_max):
+            g, e = basis_index(n, 1), basis_index(n + 1, 2)
+            want[g, e], want[e, g] = state.c[n], np.conj(state.c[n])
+            entries["c"] += [(g, e), (e, g)]
+        gap = np.abs(dense - want)
+        on_block = set().union(*entries.values())
+        entries["off_block"] = [(j, k) for j in range(dim)
+                                for k in range(dim) if (j, k) not in on_block]
+        report = compare_states(dense, state)
+        assert report.max_abs == gap.max()
+        assert report.by_class == {
+            name: max(gap[j, k] for j, k in index)
+            for name, index in entries.items()}
+
+
 def test_closed_form_matches_integrator():
     params = make_params(gamma_bar=0.01, lam=0.9, n_max=24)
     state = build_initial_state(params)
