@@ -29,7 +29,6 @@ from .model import (
 )
 from .observables import (
     EntropyReport,
-    concurrence_lower_bound,
     entropy_report,
 )
 from .revival import poisson_sum_inversion
@@ -53,7 +52,6 @@ __all__ = [
     "asymptotic_state",
     "build_initial_state",
     "compare_states",
-    "concurrence_lower_bound",
     "default_n_max",
     "dense_from_block",
     "entropy_report",

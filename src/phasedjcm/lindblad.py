@@ -231,6 +231,8 @@ def _block_entries(n_max: int):
 
 def dense_from_block(state: BlockState) -> np.ndarray:
     """Embed a block state into the dense product-basis matrix."""
+    if state.a.ndim != 1:
+        raise ValueError("a batched state has no single dense form")
     dim = space_dim(state.n_max)
     rho = np.zeros((dim, dim), dtype=complex)
     upper, partner = _block_entries(state.n_max)

@@ -254,9 +254,23 @@ class BlockState:
         return _per_row(np.sum(self.a, axis=-1) + np.sum(self.b, axis=-1))
 
     def min_eigenvalue(self):
-        """Smallest eigenvalue over all 2x2 blocks and unpaired levels."""
-        return _per_row(np.min(_spectrum(self.a, self.b, _abs_sq(self.c)),
-                               axis=-1))
+        """Smallest eigenvalue over all 2x2 blocks and unpaired levels.
+
+        Each pair is divided by |trace| (1 for a zero trace) before its
+        eigenvalues are taken and multiplied back after, so that squaring
+        the entries of a pair of tiny weight does not underflow."""
+        a, b_hi = self.a[..., :-1], self.b[..., 1:]
+        scale = np.abs(a + b_hi)
+        scale[scale == 0.0] = 1.0
+        # Real and imaginary parts apart: complex division by a subnormal
+        # real can overflow.
+        c_sq = np.square(self.c.real / scale)
+        c_sq += np.square(self.c.imag / scale)
+        _, lower = _pair_eigenvalues(a / scale, b_hi / scale, c_sq,
+                                     out=np.empty((2,) + scale.shape))
+        lower *= scale
+        return _per_row(np.min(np.concatenate(
+            [self.b[..., :1], self.a[..., -1:], lower], axis=-1), axis=-1))
 
 
 def _abs_sq(c, out=None):

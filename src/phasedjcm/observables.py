@@ -13,9 +13,9 @@ the per-projection concurrences with their trace weights gives a lower bound
 on the atom-field entanglement of the full state.
 
 One column kernel, ``_columns``, computes every functional of a block of
-states from one photon distribution.  The public functions read their
-fields from it, a single state being a block of one row, so each formula
-is written once.
+states from one photon distribution.  ``entropy_report``, the one public
+evaluator, reads its fields from it, a single state being a block of one
+row, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -54,13 +54,6 @@ def _entropy(w: np.ndarray, terms=None) -> np.ndarray:
     return 0.0 - terms.sum(axis=-1)
 
 
-def shannon_entropy(weights):
-    """-sum w ln w along the last axis, over the entries above the underflow
-    floor (a nan weight gives nan); a float for 1-D weights, one value per
-    row otherwise."""
-    return _per_row(_entropy(np.asarray(weights, dtype=float)))
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     """Entropy functionals of one joint state, all in nats, and its
@@ -78,7 +71,7 @@ class EntropyReport:
                      given the field
     mutual           s_atom + s_rad - s_joint
     inversion        atomic inversion w1 - w2
-    clb              concurrence lower bound (``concurrence_lower_bound``)
+    clb              concurrence lower bound (see ``_columns``)
     """
 
     s_atom: float
@@ -95,36 +88,16 @@ class EntropyReport:
 
 def entropy_report(state: BlockState) -> EntropyReport:
     """Compute every entropy functional and the concurrence lower bound of
-    one state, or of each row of a batched state, in one evaluation."""
-    return EntropyReport(**_state_columns(state))
-
-
-def concurrence_lower_bound(state: BlockState):
-    """Trace-weighted average concurrence over all photon-pair projections.
-
-    The projection onto photons {n, n+1} has populations v = b[n],
-    w = b[n+1], x = a[n], y = a[n+1], the coherence z = c[n] and the trace
-    t = v + w + x + y; its concurrence is
-    (2 / t) (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to [0, 1].  The min is
-    a no-op on every positive semidefinite block, where |z| <= sqrt(w x).
-
-    Runs over n = 0..n_max-1; projections below the weight floor are
-    skipped.  Returns a float, or one value per row of a batched state.
-    """
-    return _state_columns(state)["clb"]
-
-
-def _state_columns(state: BlockState) -> dict:
-    """Every column of ``_columns`` of one state, as a float per field, or
-    of each row of a batched state, as one array per field (of shape (0,)
-    for an empty batch)."""
+    one state, as a float per field, or of each row of a batched state, as
+    one array per field (of shape (0,) for an empty batch), in one
+    evaluation of ``_columns``."""
     batch = state.a.shape[:-1]
     rows = math.prod(batch)
     fields = _columns(_levels(state).reshape(rows, 2 * state.n_max + 2),
                       _abs_sq(state.c).reshape(rows, state.n_max),
                       _work_arrays(rows, state.n_max))
-    return {name: _per_row(value.reshape(batch))
-            for name, value in fields.items()}
+    return EntropyReport(**{name: _per_row(value.reshape(batch))
+                            for name, value in fields.items()})
 
 
 def _work_arrays(rows: int, n_max: int) -> tuple:
@@ -137,9 +110,18 @@ def _work_arrays(rows: int, n_max: int) -> tuple:
 
 
 def _columns(levels, c_sq, work) -> dict:
-    """The fields of ``EntropyReport`` and the concurrence bound ``"clb"``,
-    as arrays, of a block of states whose populations a and b are the two
-    halves of ``levels`` along the last axis, with squared coherences c_sq.
+    """The fields of ``EntropyReport``, as arrays, of a block of states
+    whose populations a and b are the two halves of ``levels`` along the
+    last axis, with squared coherences c_sq.
+
+    The concurrence lower bound ``"clb"`` is the trace-weighted average
+    concurrence over the photon-pair projections n = 0..n_max-1.  The
+    projection onto photons {n, n+1} has populations v = b[n], w = b[n+1],
+    x = a[n], y = a[n+1], the coherence z = c[n] and the trace
+    t = v + w + x + y; its concurrence is
+    (2 / t) (min(|z|, sqrt(w x)) - sqrt(v y)) clipped to [0, 1].  The min is
+    a no-op on every positive semidefinite block, where |z| <= sqrt(w x).
+    Projections below the weight floor are skipped.
 
     The entropies and the bound share the photon distribution a + b,
     computed once.  The large temporaries live in ``work`` (from

@@ -17,7 +17,6 @@ from phasedjcm import (
     asymptotic_state,
     build_initial_state,
     compare_states,
-    concurrence_lower_bound,
     dense_from_block,
     entropy_report,
     integrate_path,
@@ -175,19 +174,19 @@ def test_06_zero_phase_bell_start_freezes_inversion():
 def test_07_concurrence_bound_structure():
     lam_grid = CATALOG["fig1a"].grid()
 
-    factored = concurrence_lower_bound(
-        build_initial_state(base_params(mean_photons=2.0)))
+    factored = entropy_report(
+        build_initial_state(base_params(mean_photons=2.0))).clb
 
     bell_values = [
-        concurrence_lower_bound(build_initial_state(
-            base_params(mean_photons=2.0, lam=1.0, p11=p11)))
+        entropy_report(build_initial_state(
+            base_params(mean_photons=2.0, lam=1.0, p11=p11))).clb
         for p11 in (0.0, 0.5, 1.0)
     ]
     spread = max(bell_values) - min(bell_values)
 
     curve = np.array([
-        concurrence_lower_bound(build_initial_state(
-            base_params(mean_photons=2.0, lam=float(lam), p11=0.5)))
+        entropy_report(build_initial_state(
+            base_params(mean_photons=2.0, lam=float(lam), p11=0.5))).clb
         for lam in lam_grid
     ])
     positive = np.nonzero(curve > 0)[0]
@@ -197,8 +196,8 @@ def test_07_concurrence_bound_structure():
     lam_star = float(lam_grid[positive[0] - 1]) if has_threshold else -1.0
 
     by_n = [
-        concurrence_lower_bound(build_initial_state(
-            base_params(mean_photons=float(n), lam=1.0, p11=1.0)))
+        entropy_report(build_initial_state(
+            base_params(mean_photons=float(n), lam=1.0, p11=1.0))).clb
         for n in (2, 3, 5, 20)
     ]
     decreasing = all(x > y for x, y in zip(by_n, by_n[1:]))

@@ -953,3 +953,39 @@ def test_package_private_names_are_all_used():
                     used.add(ref)
     assert sorted(f"{where}: {name}" for name, where in defined.items()
                   if name not in used) == []
+
+
+def test_public_surface_is_pinned():
+    """The package exports these 25 names, and each module defines these
+    public top-level functions and classes: a name added or removed shows
+    up here."""
+    assert sorted(phasedjcm.__all__) == [
+        "BlockState", "CATALOG", "COLUMNS", "ComparisonReport", "Curve",
+        "EntropyReport", "ModelParams", "ParameterError", "Scenario",
+        "TAIL_TOL", "TimeSeries", "asymptotic_state", "build_initial_state",
+        "compare_states", "default_n_max", "dense_from_block",
+        "entropy_report", "integrate_path", "params_from_mapping",
+        "poisson_pmf", "poisson_sum_inversion", "poisson_tail", "propagate",
+        "run_scenario", "write_csvs"]
+    public = {
+        path.stem: {node.name
+                    for node in ast.parse(path.read_text(), str(path)).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")}
+        for path in Path(phasedjcm.__file__).parent.glob("*.py")}
+    assert public == {
+        "__init__": set(),
+        "cli": {"main"},
+        "evolution": {"asymptotic_state", "propagate"},
+        "lindblad": {"ComparisonReport", "basis_index", "compare_states",
+                     "dense_from_block", "dephasing_signs", "hamiltonian",
+                     "integrate_path", "space_dim"},
+        "model": {"BlockState", "ModelParams", "ParameterError",
+                  "build_initial_state", "default_n_max",
+                  "params_from_mapping", "poisson_pmf", "poisson_tail",
+                  "rabi_frequency"},
+        "observables": {"EntropyReport", "entropy_report"},
+        "revival": {"poisson_sum_inversion", "revival_times"},
+        "runner": {"Curve", "Scenario", "TimeSeries", "run_scenario",
+                   "write_csvs"},
+    }

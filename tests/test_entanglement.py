@@ -9,7 +9,7 @@ from phasedjcm import (
     BlockState,
     ModelParams,
     build_initial_state,
-    concurrence_lower_bound,
+    entropy_report,
     propagate,
 )
 from phasedjcm.observables import _columns, _work_arrays
@@ -38,15 +38,15 @@ def test_projection_weights_cover_trace_at_most_twice():
 def test_factored_state_has_no_projected_coherence():
     state = build_initial_state(make_params(lam=0.0))
     assert state.c[3] == 0.0
-    assert concurrence_lower_bound(state) == 0.0
+    assert entropy_report(state).clb == 0.0
 
 
 def test_block_concurrence_zero_coherence():
-    assert concurrence_lower_bound(one_block(0.1, 0.3, 0.4, 0.2, 0.0)) == 0.0
+    assert entropy_report(one_block(0.1, 0.3, 0.4, 0.2, 0.0)).clb == 0.0
 
 
 def test_block_concurrence_maximally_entangled():
-    clb = concurrence_lower_bound(one_block(0.0, 0.5, 0.5, 0.0, 0.5))
+    clb = entropy_report(one_block(0.0, 0.5, 0.5, 0.0, 0.5)).clb
     assert clb == pytest.approx(1.0, abs=1e-15)
 
 
@@ -56,13 +56,13 @@ def test_block_concurrence_hand_value():
     state = build_initial_state(make_params(mean_photons=2.0, lam=1.0))
     block = one_block(state.b[0], state.b[1], state.a[0], state.a[1],
                       state.c[0])
-    assert concurrence_lower_bound(block) == pytest.approx(0.5, abs=1e-14)
+    assert entropy_report(block).clb == pytest.approx(0.5, abs=1e-14)
 
 
 def test_clb_skips_weightless_projections():
-    assert concurrence_lower_bound(one_block(0.0, 0.0, 0.0, 0.0, 0.0)) == 0.0
-    assert concurrence_lower_bound(one_block(0.0, 1e-15, 1e-15, 0.0,
-                                             1e-15)) == 0.0
+    assert entropy_report(one_block(0.0, 0.0, 0.0, 0.0, 0.0)).clb == 0.0
+    assert entropy_report(one_block(0.0, 1e-15, 1e-15, 0.0,
+                                    1e-15)).clb == 0.0
 
 
 def test_clb_reads_round_off_negative_populations_as_zero():
@@ -72,10 +72,10 @@ def test_clb_reads_round_off_negative_populations_as_zero():
     a, b = state.a.copy(), state.b.copy()
     a[:, [0, 3, 7]] = -1e-18
     b[:, [0, 2, 5]] = -1e-18
-    clipped = concurrence_lower_bound(BlockState(a=a, b=b, c=state.c))
+    clipped = entropy_report(BlockState(a=a, b=b, c=state.c)).clb
     a[a < 0] = 0.0
     b[b < 0] = 0.0
-    zeroed = concurrence_lower_bound(BlockState(a=a, b=b, c=state.c))
+    zeroed = entropy_report(BlockState(a=a, b=b, c=state.c)).clb
     assert np.array_equal(clipped, zeroed)
     assert np.all(zeroed > 0.0)
 
@@ -101,13 +101,13 @@ def test_physical_blocks_keep_coherence_below_geometric_mean():
 
 def test_clb_zero_for_factored_state():
     state = build_initial_state(make_params(lam=0.0))
-    assert concurrence_lower_bound(state) == 0.0
+    assert entropy_report(state).clb == 0.0
 
 
 def test_clb_independent_of_p11_at_full_bell_weight():
     values = [
-        concurrence_lower_bound(build_initial_state(make_params(lam=1.0,
-                                                                p11=p11)))
+        entropy_report(build_initial_state(make_params(lam=1.0,
+                                                       p11=p11))).clb
         for p11 in (0.0, 0.5, 1.0)
     ]
     assert max(values) - min(values) < 1e-12
@@ -119,8 +119,8 @@ def test_clb_threshold_in_mixture_weight():
     # non-decreasing above the threshold
     lams = np.arange(0.0, 1.0001, 0.01)
     clb = np.array([
-        concurrence_lower_bound(
-            build_initial_state(make_params(lam=float(lam), p11=0.5)))
+        entropy_report(
+            build_initial_state(make_params(lam=float(lam), p11=0.5))).clb
         for lam in lams
     ])
     nonzero = np.nonzero(clb > 0)[0]
@@ -134,9 +134,9 @@ def test_clb_threshold_in_mixture_weight():
 
 def test_clb_decreases_with_mean_photons():
     values = [
-        concurrence_lower_bound(
+        entropy_report(
             build_initial_state(make_params(lam=1.0, p11=1.0,
-                                            mean_photons=float(n))))
+                                            mean_photons=float(n)))).clb
         for n in (2, 3, 5, 20)
     ]
     assert all(first > second for first, second in zip(values, values[1:]))
@@ -146,7 +146,7 @@ def test_clb_stays_in_unit_interval_along_evolution():
     params = make_params(mean_photons=5.0, lam=0.9, gamma_bar=0.01)
     state = build_initial_state(params)
     for tau in np.arange(0.0, 15.0001, 0.5):
-        clb = concurrence_lower_bound(propagate(state, params, float(tau)))
+        clb = entropy_report(propagate(state, params, float(tau))).clb
         assert 0.0 <= clb <= 1.0
 
 

@@ -20,7 +20,7 @@ from phasedjcm import (
 )
 from phasedjcm.evolution import rabi_frequency
 from phasedjcm.model import _spectrum
-from phasedjcm.observables import shannon_entropy
+from phasedjcm.observables import _entropy
 
 
 def make_params(**overrides):
@@ -261,7 +261,7 @@ def test_block_spectrum_of_a_diagonal_state():
     # is the diagonal itself, the unpaired b0 = 0.05 included.
     rep = entropy_report(state)
     assert rep.s_joint == pytest.approx(
-        shannon_entropy([0.05, 0.4, 0.2, 0.2, 0.1, 0.05]), abs=1e-15)
+        _entropy(np.array([0.05, 0.4, 0.2, 0.2, 0.1, 0.05])), abs=1e-15)
     assert rep.deficit == pytest.approx(0.0, abs=1e-15)
     assert state.min_eigenvalue() == pytest.approx(0.05, abs=1e-15)
 
@@ -274,7 +274,7 @@ def test_block_spectrum_of_a_pure_bell_mixture():
     # a[n_max] = q11 p(n_max) is left unpaired by the truncation.
     assert state.b[0] == 0.0
     assert entropy_report(state).s_joint == pytest.approx(
-        shannon_entropy(np.append(pn[:-1], 0.5 * pn[-1])), abs=1e-14)
+        _entropy(np.append(pn[:-1], 0.5 * pn[-1])), abs=1e-14)
     assert abs(state.min_eigenvalue()) <= 1e-16
 
 
@@ -287,7 +287,7 @@ def test_spectral_sums_match_block_traces():
         spectrum = np.linalg.eigvalsh(dense_from_block(s))
         assert spectrum.sum() == pytest.approx(s.trace(), abs=1e-12)
         assert entropy_report(s).s_joint == pytest.approx(
-            shannon_entropy(spectrum), abs=1e-12)
+            _entropy(spectrum), abs=1e-12)
         assert s.min_eigenvalue() == pytest.approx(spectrum[0], abs=1e-12)
         assert s.min_eigenvalue() >= -1e-12
         np.testing.assert_allclose(np.sort(_spectrum(s.a, s.b, np.abs(s.c) ** 2)), spectrum, rtol=0,

@@ -15,7 +15,6 @@ from phasedjcm import (
     ModelParams,
     build_initial_state,
     compare_states,
-    concurrence_lower_bound,
     dense_from_block,
     entropy_report,
     integrate_path,
@@ -493,6 +492,17 @@ def test_dense_from_block_matches_an_entrywise_reference(n_max):
     np.testing.assert_array_equal(dense_from_block(state), want)
 
 
+def test_a_batched_state_has_no_dense_form():
+    params = make_params(lam=0.6)
+    batch = build_initial_state(params, [0.2, 0.9])
+    rho = dense_from_block(build_initial_state(params))
+    for call in (lambda: dense_from_block(batch),
+                 lambda: compare_states(rho, batch)):
+        with pytest.raises(ValueError,
+                           match="a batched state has no single dense form"):
+            call()
+
+
 @pytest.mark.parametrize("n_max", range(1, 9))
 def test_compare_states_matches_an_entrywise_reference(n_max):
     """Every class maximum, and the overall one, equals bit for bit the
@@ -604,7 +614,7 @@ def test_clb_matches_wootters_formula_on_closed_form_states():
         for tau in (0.0, rng.uniform(0.0, 70.0)):
             state = propagate(initial, params, tau)
             want = wootters_clb(dense_from_block(state), state.n_max)
-            worst = max(worst, abs(concurrence_lower_bound(state) - want))
+            worst = max(worst, abs(entropy_report(state).clb - want))
             compared += 1
     assert compared == 120
     assert worst < 1e-14

@@ -283,6 +283,19 @@ def test_valid_params_give_positive_blocks():
         assert abs(state.trace() - 1.0) < TAIL_TOL
 
 
+def test_tiny_weight_pairs_give_no_negative_eigenvalue():
+    """At N = 638 the lowest pairs weigh below 1e-154; a lambda scan's
+    positive blocks there once read -3.6e-163 from underflowing squares."""
+    params = make_params(mean_photons=638.0, p11=0.0, q11=0.345,
+                         bell_phase=0.3)
+    state = build_initial_state(params, np.linspace(0.23, 0.87, 33))
+    assert np.all(state.min_eigenvalue() >= 0.0)
+    # A zero-trace pair keeps its eigenvalues 0, without a warning.
+    with np.errstate(all="raise"):
+        assert BlockState(a=[0.0, 0.5], b=[0.5, 0.0],
+                          c=[0.0]).min_eigenvalue() == 0.0
+
+
 def test_blockstate_shape_checks():
     with pytest.raises(ValueError):
         BlockState(a=np.zeros(4), b=np.zeros(4), c=np.zeros(4, complex))

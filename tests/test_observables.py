@@ -10,14 +10,12 @@ from phasedjcm import (
     ModelParams,
     asymptotic_state,
     build_initial_state,
-    concurrence_lower_bound,
     entropy_report,
     poisson_pmf,
     propagate,
 )
 from phasedjcm.model import _abs_sq, _levels
-from phasedjcm.observables import (_columns, _entropy, _work_arrays,
-                                   shannon_entropy)
+from phasedjcm.observables import _columns, _entropy, _work_arrays
 
 
 def make_params(**overrides):
@@ -27,15 +25,17 @@ def make_params(**overrides):
     return ModelParams(**base)
 
 
-def test_shannon_entropy_conventions():
-    assert shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2), rel=1e-15)
-    assert shannon_entropy([1.0, 0.0]) == 0.0          # 0 ln 0 := 0
-    assert math.copysign(1.0, shannon_entropy([1.0, 0.0])) == 1.0  # not -0
-    assert shannon_entropy([1.0, 1e-320]) == 0.0       # below the floor
-    assert shannon_entropy([]) == 0.0
+def test_entropy_conventions():
+    pure = _entropy(np.array([1.0, 0.0]))
+    assert _entropy(np.array([0.5, 0.5])) == pytest.approx(math.log(2),
+                                                           rel=1e-15)
+    assert pure == 0.0                                    # 0 ln 0 := 0
+    assert math.copysign(1.0, pure) == 1.0                # not -0
+    assert _entropy(np.array([1.0, 1e-320])) == 0.0       # below the floor
+    assert _entropy(np.array([])) == 0.0
 
 
-def test_shannon_entropy_equals_the_masked_reference_bit_for_bit():
+def test_entropy_of_rows_equals_the_masked_reference_bit_for_bit():
     def reference(w):
         keep = w > 1e-300
         terms = np.where(keep, w * np.log(np.where(keep, w, 1.0)), 0.0)
@@ -52,12 +52,12 @@ def test_shannon_entropy_equals_the_masked_reference_bit_for_bit():
         rng.random(4),
         rng.random(4) * 1e-150,
     ])
-    got = shannon_entropy(rows)
+    got = _entropy(rows)
     want = reference(rows)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     for row, value in zip(rows, want):
-        one = shannon_entropy(row)
+        one = _entropy(row)
         assert isinstance(one, float)
         assert one == value and math.copysign(1.0, one) == math.copysign(
             1.0, value)
@@ -98,8 +98,8 @@ def test_entropy_matches_the_masked_reference(case):
         got = _entropy(rows, terms)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-    assert shannon_entropy([]) == 0.0
-    assert isinstance(shannon_entropy([]), float)
+    assert _entropy(np.array([])) == 0.0
+    assert isinstance(_entropy(np.array([])), float)
 
 
 def test_reduced_states_initial_marginals():
@@ -198,11 +198,11 @@ def test_asymptotic_state_has_zero_deficit():
 
 
 def test_public_functions_read_the_column_kernel_for_any_batch():
-    """entropy_report and concurrence_lower_bound of an unbatched, a
-    batched and an empty state give a float per field, an array per field
-    and arrays of shape (0,), each equal bit for bit to the matching rows
-    of the column kernel.  The empty states that build_initial_state and
-    propagate give for an empty grid go through both without a warning."""
+    """entropy_report of an unbatched, a batched and an empty state gives a
+    float per field, an array per field and arrays of shape (0,), each
+    equal bit for bit to the matching rows of the column kernel.  The empty
+    states that build_initial_state and propagate give for an empty grid go
+    through it without a warning."""
     params = make_params(gamma_bar=0.05, lam=0.6)
     initial = build_initial_state(params)
     cases = (
@@ -218,9 +218,9 @@ def test_public_functions_read_the_column_kernel_for_any_batch():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = vars(entropy_report(state))
-            clb = concurrence_lower_bound(state)
+            clb = entropy_report(state).clb
         assert got.keys() == want.keys()
-        # The report's bound and concurrence_lower_bound's are both read.
+        # The bound of the report's dict and of its attribute are both read.
         for name, value in [*got.items(), ("clb", clb)]:
             if shape is None:
                 assert type(value) is float, name
