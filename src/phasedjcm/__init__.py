@@ -30,8 +30,8 @@ from .model import (
 from .observables import (
     EntropyReport,
     entropy_report,
+    poisson_sum_inversion,
 )
-from .revival import poisson_sum_inversion
 from .runner import (CATALOG, COLUMNS, Curve, Scenario, TimeSeries,
                      run_scenario, write_csvs)
 

@@ -55,23 +55,20 @@ def space_dim(n_max: int) -> int:
 
 
 def hamiltonian(params: ModelParams) -> np.ndarray:
-    """Resonant coupling in the rotating frame: kbar sqrt(n+1) between the
-    paired levels |n, 1> and |n+1, 2>."""
-    dim = space_dim(params.n_max)
-    ham = np.zeros((dim, dim))
-    upper, partner = _block_entries(params.n_max)
-    coupling = params.kappa_bar * np.sqrt(np.arange(1.0, params.n_max + 1))
-    ham[upper[:-1], partner] = ham[partner, upper[:-1]] = coupling
-    return ham
+    """Resonant coupling kbar (a s+ + a^dag s-) in the rotating frame, with
+    the photon annihilator a truncated at n_max and s+ = |1><2|: it couples
+    |n, 1> and |n+1, 2> with strength kbar sqrt(n+1), for a finite kbar."""
+    if not math.isfinite(params.kappa_bar):
+        raise ValueError("kappa_bar must be finite")
+    annihilator = np.diag(np.sqrt(np.arange(1.0, params.n_max + 1)), k=1)
+    coupling = np.kron(annihilator, [[0.0, 1.0], [0.0, 0.0]])  # a s+
+    return params.kappa_bar * (coupling + coupling.T)
 
 
 def dephasing_signs(n_max: int) -> np.ndarray:
     """Diagonal of the dephasing operator Z, -1 on level 1 and +1 on level 2:
     minus the operator behind the reported inversion w1 - w2."""
-    signs = np.empty(space_dim(n_max))
-    signs[0::2] = -1.0
-    signs[1::2] = 1.0
-    return signs
+    return np.tile([-1.0, 1.0], n_max + 1)
 
 
 def _pack(rho: np.ndarray) -> np.ndarray:

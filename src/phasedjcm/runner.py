@@ -30,8 +30,7 @@ import numpy as np
 
 from .evolution import _tau_blocks
 from .model import ModelParams, _lambda_blocks, build_initial_state
-from .observables import _columns, _work_arrays
-from .revival import poisson_sum_inversion
+from .observables import _columns, _work_arrays, poisson_sum_inversion
 
 COLUMNS = (
     "clb",
@@ -141,9 +140,9 @@ def _run_curve(scenario: Scenario, curve: Curve,
                                   None if lam is None else grid[[0, -1]])
     rows = min(grid.size, max(1, _BLOCK_ENTRIES // (params.n_max + 1)))
     if lam is None:
-        tau, blocks = grid, _tau_blocks(initial, params, grid, rows)
+        blocks = _tau_blocks(initial, params, grid, rows)
     else:
-        tau, blocks = 0.0, _lambda_blocks(params, grid, rows)
+        blocks = _lambda_blocks(params, grid, rows)
     # Work arrays held for the curve, like the arrays that each block is
     # written into, spare a block the page faults of a heap that glibc
     # trims after every block.
@@ -153,11 +152,16 @@ def _run_curve(scenario: Scenario, curve: Curve,
         fields = _columns(levels, c_sq, work)
         for name in COLUMNS[:-1]:
             cols[name][block] = fields[name]
+    # The resummed inversion is undamped-only; it is absent on damped curves.
+    asym = cols["inversion_asym"] = np.full(grid.size, math.nan)
     if params.gamma_bar == 0:
-        cols["inversion_asym"] = poisson_sum_inversion(params, tau, lam=lam)
-    else:
-        # The resummed inversion is undamped-only; mark it absent.
-        cols["inversion_asym"] = np.full(grid.size, math.nan)
+        # The overlay is elementwise in the grid: taking it _BLOCK_ENTRIES
+        # points at a time bounds its temporaries and changes no bit.
+        for lo in range(0, grid.size, _BLOCK_ENTRIES):
+            part = slice(lo, lo + _BLOCK_ENTRIES)
+            asym[part] = poisson_sum_inversion(
+                params, grid[part] if lam is None else 0.0,
+                lam=None if lam is None else grid[part])
     return TimeSeries(scenario.name, curve.label, scenario.sweep, grid, cols)
 
 

@@ -25,7 +25,7 @@ from phasedjcm import (
     write_csvs,
 )
 from phasedjcm.evolution import rabi_frequency
-from phasedjcm.revival import revival_times
+from phasedjcm.observables import revival_times
 
 
 def check(num, label, ok, detail):

@@ -984,8 +984,8 @@ def test_public_surface_is_pinned():
                   "build_initial_state", "default_n_max",
                   "params_from_mapping", "poisson_pmf", "poisson_tail",
                   "rabi_frequency"},
-        "observables": {"EntropyReport", "entropy_report"},
-        "revival": {"poisson_sum_inversion", "revival_times"},
+        "observables": {"EntropyReport", "entropy_report",
+                        "poisson_sum_inversion", "revival_times"},
         "runner": {"Curve", "Scenario", "TimeSeries", "run_scenario",
                    "write_csvs"},
     }

@@ -1,5 +1,6 @@
 """Exact master-equation oracle used to certify the closed form."""
 
+import ast
 import json
 import math
 import time
@@ -104,9 +105,40 @@ def test_hamiltonian_couples_interaction_pairs_only():
         np.testing.assert_array_equal(h, expected)
 
 
+@pytest.mark.parametrize("kappa_bar", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_coupling_is_refused(kappa_bar):
+    """kappa_bar times a zero of a s+ would be nan, so the Hamiltonian, and
+    the oracle at its first ``next``, refuse a non-finite coupling by
+    name."""
+    params = make_params(kappa_bar=kappa_bar, n_max=3)
+    with pytest.raises(ValueError, match="kappa_bar must be finite"):
+        hamiltonian(params)
+    path = integrate_path(np.eye(space_dim(3)) / space_dim(3), params, [1.0])
+    with pytest.raises(ValueError, match="kappa_bar must be finite"):
+        next(path)
+
+
 def test_dephasing_signs_alternate():
     signs = dephasing_signs(3)
     np.testing.assert_array_equal(signs, [-1, 1, -1, 1, -1, 1, -1, 1])
+
+
+def test_oracle_dynamics_name_no_block_layout():
+    """The oracle builds and applies its generator without the block
+    layout: the functions on that path name no ``_block_entries``, which
+    only places a block state in the dense basis.  ``_generator`` then
+    reads the coupling partners off an independently built ``H``."""
+    path = Path(lindblad.__file__)
+    functions = {node.name: node
+                 for node in ast.parse(path.read_text(), str(path)).body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("hamiltonian", "dephasing_signs", "space_dim", "_generator",
+                 "integrate_path", "_taylor", "_pack", "_unpack"):
+        named = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(functions[name])
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert "_block_entries" not in named, name
+    assert "_block_entries" in functions
 
 
 def test_rhs_is_traceless_and_matches_the_generator():
