@@ -17,15 +17,11 @@ from .lindblad import (
     integrate_path,
 )
 from .model import (
-    TAIL_TOL,
     BlockState,
     ModelParams,
     ParameterError,
     build_initial_state,
-    default_n_max,
     params_from_mapping,
-    poisson_pmf,
-    poisson_tail,
 )
 from .observables import (
     EntropyReport,
@@ -47,19 +43,15 @@ __all__ = [
     "ModelParams",
     "ParameterError",
     "Scenario",
-    "TAIL_TOL",
     "TimeSeries",
     "asymptotic_state",
     "build_initial_state",
     "compare_states",
-    "default_n_max",
     "dense_from_block",
     "entropy_report",
     "integrate_path",
     "params_from_mapping",
-    "poisson_pmf",
     "poisson_sum_inversion",
-    "poisson_tail",
     "propagate",
     "run_scenario",
     "write_csvs",

@@ -179,24 +179,16 @@ def poisson_pmf(mean: float, n):
     return _per_row(np.where(arr == 0, math.exp(-mean), out))
 
 
-def poisson_tail(mean: float, n_max: int) -> float:
-    """Total Poisson weight strictly above n_max.
-
-    Sums the weights above n_max, or, when n_max lies below the mean, takes
-    the complement of the weights up to n_max, so no sum cancels.  Moving
-    away from the mean the weights fall off like a Gaussian of width
-    sqrt(mean) for large means and faster than geometrically for small
-    ones, so 12 sqrt(mean) + 40 of them reach round-off.  The weights come
-    from the one ``poisson_pmf`` evaluation over 0..n_max + 12 sqrt(mean)
-    + 40 that also gives ``build_initial_state`` its weights, so the cost
-    grows as n_max.
-    """
-    return _poisson_weights(mean, n_max)[1]
-
-
 def _poisson_weights(mean: float, n_max: int):
-    """The Poisson weights at 0..n_max and ``poisson_tail(mean, n_max)``,
-    from one ``poisson_pmf`` call."""
+    """The Poisson weights at 0..n_max and the total weight above n_max,
+    from one ``poisson_pmf`` call over 0..n_max + 12 sqrt(mean) + 40.
+
+    The tail sums the weights above n_max, or, when n_max lies below the
+    mean, takes the complement of those up to n_max, so no sum cancels.
+    Away from the mean the weights fall off like a Gaussian of width
+    sqrt(mean) for large means and faster than geometrically for small
+    ones, so 12 sqrt(mean) + 40 of them reach round-off.
+    """
     if not 0.0 < mean < math.inf:
         raise ValueError("Poisson mean must be positive and finite")
     width = math.ceil(12.0 * math.sqrt(mean) + 40.0)
@@ -310,15 +302,13 @@ def _pair_eigenvalues(a, b_hi, c_sq, out):
     return upper, np.subtract(half_sum, disc, out=half_sum)
 
 
-def _spectrum(a, b, c_sq, out=None) -> np.ndarray:
+def _spectrum(a, b, c_sq, out) -> np.ndarray:
     """All 2 (n_max + 1) eigenvalues of the state with populations a, b and
-    squared coherences c_sq, along the last axis: the unpaired b[0], the
-    upper eigenvalue of every pair, the unpaired a[n_max] (its partner lies
-    above the truncation), then the lower ones.  ``out`` is an optional
-    array to write them into."""
+    squared coherences c_sq, written into ``out`` along the last axis: the
+    unpaired b[0], the upper eigenvalue of every pair, the unpaired
+    a[n_max] (its partner lies above the truncation), then the lower
+    ones."""
     n_max = a.shape[-1] - 1
-    if out is None:
-        out = np.empty(a.shape[:-1] + (2 * n_max + 2,))
     out[..., 0] = b[..., 0]
     out[..., n_max + 1] = a[..., n_max]
     _pair_eigenvalues(a[..., :-1], b[..., 1:], c_sq,
@@ -418,10 +408,12 @@ def build_initial_state(params: ModelParams, lam=None) -> BlockState:
     a batched state, one row per weight, and every weight is validated.
 
     Checks finiteness, then ranges, then the pair frequencies, then the
-    Poisson tail above n_max, then the positivity of every initial 2x2
-    block; the first stage that fails raises ParameterError with all of its
-    messages.  The state's Poisson weights and the tail it checks come from
-    one ``poisson_pmf`` evaluation over 0..n_max + 12 sqrt(N) + 40.
+    Poisson tail above n_max, which one ``_poisson_weights`` call gives with
+    the state's weights; the first stage that fails raises ParameterError
+    with all of its messages.  A state that passes is positive semidefinite by construction:
+    its populations are non-negative, and with the weights P_n pair n's
+    determinant a[n] b[n+1] - |c[n]|^2 is (1 - lam)^2 p11 p22 P_n P_{n+1}
+    + lam (1 - lam) (p11 q22 P_n^2 + q11 p22 P_n P_{n+1}) >= 0.
     """
     lam = np.asarray(params.lam if lam is None else lam, dtype=float)
     errors = [f"{key} must be finite" for name, key, _ in _PARAMS
@@ -461,13 +453,7 @@ def build_initial_state(params: ModelParams, lam=None) -> BlockState:
     if tail >= TAIL_TOL:
         raise ParameterError(f"Poisson tail above n_max is {tail:.3e} >= "
                              f"{TAIL_TOL:.1e}; raise n_max")
-
-    state = BlockState(*_initial_arrays(params, lam, pn))
-    lowest = float(np.min(state.min_eigenvalue(), initial=0.0))
-    if lowest < -1e-12:
-        raise ParameterError("initial state is not positive semidefinite "
-                             f"(min block eigenvalue {lowest:.3e})")
-    return state
+    return BlockState(*_initial_arrays(params, lam, pn))
 
 
 def params_from_mapping(mapping: dict) -> ModelParams:

@@ -131,11 +131,8 @@ def _run_curve(scenario: Scenario, curve: Curve,
     params = curve.params
     lam = None if scenario.sweep == "tau" else grid
     # A lambda sweep validates the ends of its grid, before any column
-    # exists, and that covers every interior weight: the initial state is
-    # affine in lambda, so each block's smallest eigenvalue is concave in
-    # it and takes its minimum over an interval at an end; the range, the
-    # frequencies and the Poisson tail do not depend on lambda, and the
-    # grid is monotone and never passes its stop.
+    # exists, and that covers every interior weight: only the weight's own
+    # checks (finite, inside [0, 1]) depend on it, and the grid is monotone.
     initial = build_initial_state(params,
                                   None if lam is None else grid[[0, -1]])
     rows = min(grid.size, max(1, _BLOCK_ENTRIES // (params.n_max + 1)))

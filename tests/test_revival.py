@@ -13,12 +13,12 @@ from phasedjcm import (
     Scenario,
     build_initial_state,
     entropy_report,
-    poisson_pmf,
     poisson_sum_inversion,
     propagate,
     run_scenario,
 )
 from phasedjcm import runner
+from phasedjcm.model import poisson_pmf
 from phasedjcm.observables import revival_times
 from phasedjcm.runner import _BLOCK_ENTRIES, _run_curve
 
