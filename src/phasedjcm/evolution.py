@@ -6,9 +6,9 @@ turn into each other at the reduced pair frequency
 E(n) = sqrt(4 kappa_bar^2 (n+1) - (gamma_bar/2)^2) and the pair sum a + b is
 kept.  This exact solution of the master equation inside one pair is written
 in real arithmetic and applied to every pair at once, so arbitrary times are
-reached in a single call with no stepping error.  ``propagate`` and the first
-block of ``_tau_blocks`` take this step, the unpaired levels included,
-through one function, ``_step_pairs``.
+reached in a single call with no stepping error.  ``propagate`` takes this
+step, the unpaired levels included; the first block of ``_tau_blocks`` is
+one ``propagate`` call.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .model import BlockState, ModelParams, _split_levels, rabi_frequency
+from .model import (BlockState, ModelParams, _abs_sq, _levels, _split_levels,
+                    rabi_frequency)
 
 
 def _pair_rates(params: ModelParams, n_max: int):
@@ -79,21 +80,6 @@ def _move_pairs(factors, a0, b0, diff, im0, drive, a, b, im,
     im += np.multiply(m_diff, diff, out=flow)
 
 
-def _step_pairs(factors, state: BlockState, rates, a, b, re, im,
-                flow=None) -> None:
-    """Write one exact step of ``state`` by ``factors`` (from
-    ``_step_factors``) into its populations ``a`` and ``b`` and the parts
-    ``re`` and ``im`` of its coherences; ``flow`` is as for ``_move_pairs``.
-    The unpaired b[0] and a[n_max] (whose partner lies above the
-    truncation) are constants of the motion, so they are carried over."""
-    a0, b0, im0 = state.a[..., :-1], state.b[..., 1:], state.c.imag
-    _move_pairs(factors, a0, b0, a0 - b0, im0, 2.0 * rates[1] * im0,
-                a[..., :-1], b[..., 1:], im, flow)
-    np.multiply(factors[-1], state.c.real, out=re)
-    a[..., -1] = state.a[..., -1]
-    b[..., 0] = state.b[..., 0]
-
-
 def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     """Evolve a block state forward by tau in one exact step.
 
@@ -109,7 +95,14 @@ def propagate(state: BlockState, params: ModelParams, tau) -> BlockState:
     a = np.empty(shape[:-1] + (state.n_max + 1,))
     b = np.empty_like(a)
     c = np.empty(shape, dtype=complex)
-    _step_pairs(factors, state, rates, a, b, c.real, c.imag)
+    a0, b0, im0 = state.a[..., :-1], state.b[..., 1:], state.c.imag
+    _move_pairs(factors, a0, b0, a0 - b0, im0, 2.0 * rates[1] * im0,
+                a[..., :-1], b[..., 1:], c.imag)
+    np.multiply(factors[-1], state.c.real, out=c.real)
+    # The unpaired b[0] and a[n_max] (whose partner lies above the
+    # truncation) are constants of the motion, so they are carried over.
+    a[..., -1] = state.a[..., -1]
+    b[..., 0] = state.b[..., 0]
     return BlockState(a=a, b=b, c=c)
 
 
@@ -118,10 +111,9 @@ def _tau_blocks(state: BlockState, params: ModelParams, grid, rows: int):
     evenly spaced grid of times, in order: the block's slice of the grid,
     its populations a and b side by side and its squared coherences.
 
-    Every block is one exact step of ``_move_pairs``, written into the
-    arrays yielded for the first block, so each block is overwritten by
-    the next.  The first block steps the single ``state`` to its times
-    through ``_step_pairs``, as ``propagate`` does; every later block
+    Every block is one exact step of ``_move_pairs``.  The first block is
+    ``propagate(state, params, grid[:rows])``, copied into the arrays
+    yielded, which every later block overwrites in turn; a later block
     starting at grid[lo] moves the first block's rows on by the one scalar
     time grid[lo] - grid[0] (a short last block takes the first rows).
     Each equals propagate of what it moves bit for bit, so every sample is
@@ -133,21 +125,16 @@ def _tau_blocks(state: BlockState, params: ModelParams, grid, rows: int):
     """
     rows = min(rows, grid.size)
     rates = _pair_rates(params, state.n_max)
-    # re0 and im0 keep the first block's Re c and Im c for the later moves;
-    # one array each stays the size of a block (runner._BLOCK_ENTRIES).
-    levels = np.empty((rows, 2 * state.n_max + 2))
-    re0, im0, c_sq, im, flow = (np.empty((rows, state.n_max))
-                                for _ in range(5))
-    a, b = _split_levels(levels)
-    factors = _step_factors(params, rates, grid[:rows])
-    _step_pairs(factors, state, rates, a, b, re0, im0, flow)
-    # Contiguous copies of the first block's pairs, which the later moves
-    # read faster than views of the levels they overwrite.
-    a0, b0 = a[:, :-1].copy(), b[:, 1:].copy()
-    # |c|^2 = Re c * Re c + Im c * Im c, the products propagate's output
-    # gives, so every block matches it.
-    np.multiply(re0, re0, out=c_sq)
-    c_sq += np.multiply(im0, im0, out=flow)
+    first = propagate(state, params, grid[:rows])
+    levels = _levels(first)
+    # Contiguous copies of the first block's pairs, Re c and Im c, which
+    # the later moves read faster than views of the state; one array each
+    # stays the size of a block (runner._BLOCK_ENTRIES).
+    a0, b0 = first.a[:, :-1].copy(), first.b[:, 1:].copy()
+    re0, im0 = first.c.real.copy(), first.c.imag.copy()
+    c_sq = _abs_sq(first.c, out=np.empty_like(re0))
+    del first
+    im, flow = np.empty_like(re0), np.empty_like(re0)
     yield slice(0, rows), levels, c_sq
     diff, drive = a0 - b0, 2.0 * rates[1] * im0
     work = (levels, c_sq, im, flow)

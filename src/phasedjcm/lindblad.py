@@ -76,7 +76,7 @@ def _pack(rho: np.ndarray) -> np.ndarray:
     return rho.real + rho.imag
 
 
-def _unpack(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _unpack(x: np.ndarray, scale: float) -> np.ndarray:
     """scale rho for the Hermitian rho packed as x: Re rho = (x + x^T)/2 and
     Im rho = (x - x^T)/2."""
     rho = np.empty(x.shape, dtype=complex)
@@ -90,19 +90,17 @@ def _generator(params: ModelParams):
     """``apply(x, scale, out)``, which writes scale L(x) into out for a
     Hermitian rho packed as x = Re rho + Im rho, and a bound on ||L||_1.
 
-    Each level couples to at most one other (its partner p), so H rho is
-    rho's rows gathered at the partners and scaled by the couplings S, and
-    rho H = (H rho)^H.  L(rho) = -i (H rho - rho H) + D rho then packs to
-    L(x) = (S x[p, :] - x[:, p] S)^T + D x = (S x[p, :])^T - S x^T[p, :]
-    + D x: two row gathers, of x and of x^T.  Column (j, k) of L holds at
-    most |H[j]|, |H[k]| and the dephasing rate of rho[j, k]: their largest
-    sum bounds the 1-norm."""
+    In the textbook ``hamiltonian`` each level couples to at most one
+    other (its partner p), a property the tests pin entry for entry, so
+    H rho is rho's rows gathered at the partners and scaled by the
+    couplings S, and rho H = (H rho)^H.  L(rho) = -i (H rho - rho H)
+    + D rho then packs to L(x) = (S x[p, :] - x[:, p] S)^T + D x
+    = (S x[p, :])^T - S x^T[p, :] + D x: two row gathers, of x and of x^T.
+    Column (j, k) of L holds at most |H[j]|, |H[k]| and the dephasing rate
+    of rho[j, k]: their largest sum bounds the 1-norm."""
     ham = hamiltonian(params)
-    coupled = ham != 0
-    if np.any(coupled.sum(axis=1) > 1):
-        raise ValueError("a level couples to more than one other")
     dim = ham.shape[0]
-    partner = np.argmax(coupled, axis=1)
+    partner = np.argmax(ham != 0, axis=1)
     strength = ham[np.arange(dim), partner]
     signs = dephasing_signs(params.n_max)
     deph = 0.5 * params.gamma_bar * (signs[:, None] * signs[None, :] - 1.0)

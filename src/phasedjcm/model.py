@@ -187,10 +187,9 @@ def _poisson_weights(mean: float, n_max: int):
     mean, takes the complement of those up to n_max, so no sum cancels.
     Away from the mean the weights fall off like a Gaussian of width
     sqrt(mean) for large means and faster than geometrically for small
-    ones, so 12 sqrt(mean) + 40 of them reach round-off.
+    ones, so 12 sqrt(mean) + 40 of them reach round-off.  The callers have
+    validated the mean.
     """
-    if not 0.0 < mean < math.inf:
-        raise ValueError("Poisson mean must be positive and finite")
     width = math.ceil(12.0 * math.sqrt(mean) + 40.0)
     weights = poisson_pmf(mean, np.arange(n_max + 1 + width))
     if n_max >= mean:

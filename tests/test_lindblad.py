@@ -77,7 +77,7 @@ def apply_generator(rho, params):
     as X = Re rho + Im rho, with the result unpacked."""
     apply, _ = _generator(params)
     x = _pack(rho)
-    return _unpack(apply(x, 1.0, np.empty_like(x)))
+    return _unpack(apply(x, 1.0, np.empty_like(x)), 1.0)
 
 
 def test_basis_layout():
@@ -141,9 +141,10 @@ def test_oracle_dynamics_name_no_block_layout():
     assert "_block_entries" in functions
 
 
-def test_rhs_is_traceless_and_matches_the_generator():
-    params = make_params(gamma_bar=0.04, n_max=7)
-    dim = space_dim(7)
+@pytest.mark.parametrize("n_max", [1, 7, 30])
+def test_rhs_is_traceless_and_matches_the_generator(n_max):
+    params = make_params(gamma_bar=0.04, n_max=n_max)
+    dim = space_dim(n_max)
     rho = random_density(dim, seed=11)
     rhs = lindblad_rhs(rho, params)
     assert abs(np.trace(rhs)) < 1e-13
@@ -158,7 +159,7 @@ def test_packed_state_round_trips_and_keeps_the_norm(n_max):
         rho = 0.5 * (rho + rho.conj().T)
         x = _pack(rho)
         assert x.dtype == float
-        assert np.max(np.abs(_unpack(x) - rho)) <= 1e-16
+        assert np.max(np.abs(_unpack(x, 1.0) - rho)) <= 1e-16
         # Re rho and Im rho are orthogonal, so X has rho's Frobenius norm.
         norm = np.linalg.norm(rho)
         assert abs(np.linalg.norm(x) - norm) <= 1e-15 * norm
